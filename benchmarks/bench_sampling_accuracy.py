@@ -39,12 +39,11 @@ import time
 
 import pytest
 
-from common import bench_length, merge_json_result
+from common import bench_length, fresh_trace, merge_json_result
 
 from repro.analysis.sweep import PAPER_LINE_SIZE
 from repro.core.jobs import StackSweepJob
 from repro.sampling import IntervalSampling, RepresentativeSampling, run_sampled
-from repro.trace.stream import Trace
 from repro.workloads import catalog
 
 LENGTH = bench_length() or 250_000
@@ -75,15 +74,8 @@ def traces():
     return {name: catalog.generate(name, LENGTH) for name in WORKLOADS}
 
 
-def _fresh(trace):
-    """A new Trace over the same arrays — empty memo, honest timings."""
-    return Trace(
-        trace.kinds, trace.addresses, trace.sizes, trace.metadata, validate=False
-    )
-
-
 def _fresh_compiled(traces):
-    copies = {name: _fresh(trace) for name, trace in traces.items()}
+    copies = {name: fresh_trace(trace) for name, trace in traces.items()}
     for copy in copies.values():
         copy.compiled(PAPER_LINE_SIZE)
     return copies
@@ -123,6 +115,7 @@ def results_log(traces, full_results):
             "modes": modes,
         },
         merge_keys=("modes",),
+        match_keys=("references_per_trace",),
     )
 
 

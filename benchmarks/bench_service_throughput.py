@@ -7,7 +7,9 @@ exist — asserts the dedupe invariant from ``docs/service.md``: N clients
 submitting an identical campaign cause at most 20 actual simulations
 (counted as ``cell_finished`` events with ``source == "run"`` across
 every client's SSE stream), every client receives the full event stream,
-and all clients get byte-identical merged results.
+and all clients get byte-identical merged results.  The payload records
+the pool's worker count and the host's ``os.cpu_count()`` beside the
+rates, since cells/second scales with both.
 
 The machine-readable summary goes to
 ``benchmarks/results/BENCH_service_throughput.json`` so CI can archive
@@ -36,6 +38,8 @@ CELLS_PER_CAMPAIGN = 20
 CLIENT_COUNTS = (1, 2, 4)
 TRACES = ("VCCOM", "ZGREP", "PLO", "FGO1")
 SIZES = (512, 1024, 4096, 16384, 32768)
+#: Pool size: one worker per core, at most four.
+WORKERS = min(4, os.cpu_count() or 1)
 
 
 def make_cells(phase: int):
@@ -112,7 +116,7 @@ def test_service_throughput_under_concurrent_clients():
     with tempfile.TemporaryDirectory(prefix="repro-service-bench-") as tmp:
         os.environ["REPRO_TRACE_STORE"] = os.path.join(tmp, "traces")
         scheduler = Scheduler(
-            backend=PoolBackend(workers=min(4, os.cpu_count() or 1)),
+            backend=PoolBackend(workers=WORKERS),
             cache=os.path.join(tmp, "cache"),
         )
         phases = []
@@ -124,6 +128,8 @@ def test_service_throughput_under_concurrent_clients():
         "benchmark": "service_throughput",
         "refs_per_cell": SERVICE_REFS,
         "backend": "pool",
+        "workers": WORKERS,
+        "cpu_count": os.cpu_count(),
         "phases": phases,
     }
     RESULTS_DIR.mkdir(exist_ok=True)

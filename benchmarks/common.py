@@ -69,7 +69,11 @@ def save_result(name: str, text: str) -> Path:
 
 
 def merge_json_result(
-    name: str, payload: dict, *, merge_keys: tuple[str, ...] = ()
+    name: str,
+    payload: dict,
+    *,
+    merge_keys: tuple[str, ...] = (),
+    match_keys: tuple[str, ...] = (),
 ) -> Path:
     """Write ``benchmarks/results/{name}.json``, merging named sections.
 
@@ -79,6 +83,11 @@ def merge_json_result(
     file's entries are kept and updated rather than replaced, so a
     partial run never clobbers results a previous full run recorded.
     All other top-level keys are overwritten.
+
+    ``match_keys`` name the settings that make two runs comparable (e.g.
+    ``references_per_run``).  When the existing file recorded any of them
+    differently, its merge sections are dropped rather than mixed with
+    entries measured at another scale.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
@@ -87,6 +96,8 @@ def merge_json_result(
         try:
             previous = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
+            previous = {}
+        if any(previous.get(key) != payload.get(key) for key in match_keys):
             previous = {}
         for key in merge_keys:
             old = previous.get(key)
@@ -97,6 +108,16 @@ def merge_json_result(
         json.dumps(merged, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return path
+
+
+def fresh_trace(trace):
+    """A new Trace over the same arrays: an empty memo, so work on it runs
+    cold instead of timing a ``CompiledTrace.memo`` hit."""
+    from repro.trace import Trace
+
+    return Trace(
+        trace.kinds, trace.addresses, trace.sizes, trace.metadata, validate=False
+    )
 
 
 def run_once(benchmark, function):

@@ -20,13 +20,17 @@ reference ``v`` whose own previous occurrence also lies inside the window,
 i.e. ``p[v] > p[t]`` (and ``p[v] < v`` always, so the window constraint
 reduces to ``v < t``).  That turns distance computation into per-element
 *left-inversion counting* over the ``p`` array, which
-:func:`_count_left_greater` performs with a bottom-up blocked merge: at
-each level the stream is sorted within blocks (one packed-key ``np.sort``)
-and a boolean-marker prefix sum counts, for every right-half element, the
-left-half elements exceeding it.  O(n log² n) total, all array ops.
+:func:`_count_left_greater` performs with a bottom-up blocked merge.  Each
+key packs an element's value, its index and its running count into one
+int64.  Level ``k`` merges the sorted halves of every block of ``2**k``
+keys with one stable ``np.sort`` and then, with one prefix sum over the
+right-half flags, adds to each right-half element the number of
+left-half elements sorted above it.  Levels start at single elements and
+touch only the ``n`` live keys.  Timsort merges the two runs of a block in
+linear time, so the whole pass is O(n log n), all array ops.
 
 The old pure-Python Fenwick pass (:func:`_distances_fenwick`) is kept as
-the reference implementation for equivalence tests.
+the reference implementation the oracle tests compare against.
 """
 
 from __future__ import annotations
@@ -49,11 +53,6 @@ __all__ = [
 #: Sentinel distance for a cold (first-touch) reference; larger than any
 #: real capacity, so cold references miss at every finite size.
 COLD_DISTANCE = np.int64(2) ** 62
-
-#: Block width folded into one broadcast pass before the merge levels
-#: start (covers levels 1, 2, 4 and 8 of the bottom-up merge).
-_BRUTE = 16
-
 
 @dataclass(frozen=True, slots=True)
 class StackDistanceProfile:
@@ -166,99 +165,85 @@ def _prev_occurrence(
     return prev
 
 
+def _merge_levels(keys: np.ndarray, index_shift: int):
+    """The bottom-up blocked merge over ``keys``, sorting them in place.
+
+    Level ``half`` (1, 2, 4, …) sorts every block of ``2 * half`` keys —
+    and the trailing partial block when it reaches into a right half — and
+    yields ``(block, gain)`` per block view: ``gain`` is, for each
+    right-half element, the number of left-half elements of its block that
+    sort above it, and 0 for left-half elements.  The caller must apply
+    the gains before the next level.  A key's bits from ``index_shift`` up
+    hold its index, so bit ``index_shift + log2(half)`` is set exactly on
+    right-half elements.  Both halves arrive sorted from the level below,
+    so the stable sort (timsort) merges two runs in linear time.
+
+    A right element at slot ``j`` of its sorted block, with ``r`` right
+    elements at or before it, has ``j + 1 − r`` left elements at or below
+    it, so its gain is ``half − (j + 1 − r) = r + (half − 1 − j)``: one
+    prefix sum of the right flags, less ``half`` per earlier block, plus
+    the slot ramp.
+    """
+    n = len(keys)
+    half = 1
+    while half < n:
+        wide = 2 * half
+        full = n - n % wide
+        shift = index_shift + half.bit_length() - 1
+        ramp = np.arange(half - 1, -half - 1, -1, dtype=np.int64)
+        for block in (keys[:full].reshape(-1, wide), keys[full:].reshape(1, -1)):
+            if block.shape[1] <= half:
+                continue
+            block.sort(axis=1, kind="stable")
+            right = block >> shift
+            right &= 1
+            gain = np.cumsum(right).reshape(block.shape)
+            gain -= np.arange(0, len(block) * half, half, dtype=np.int64)[:, None]
+            gain += ramp[: block.shape[1]]
+            gain *= right
+            yield block, gain
+        half = wide
+
+
 def _count_left_greater(p: np.ndarray) -> np.ndarray:
     """``counts[t] = #{v < t : p[v] > p[t]}`` for values ≥ −2.
 
-    Bottom-up blocked merge with the running count packed into the low
-    bits of the sort key, so each level is one in-place block sort plus a
-    boolean-marker prefix sum — no per-level scatter.  Ties occur only at
-    −1/−2 (previous-occurrence arrays are injective elsewhere) and never
-    contribute to a strict *greater* count, so the deterministic index
-    tie-break is harmless.
+    Bottom-up blocked merge (:func:`_merge_levels`) with the running count
+    packed into the low bits of the sort key, so each level is one
+    in-place block sort plus one prefix sum — no per-level scatter.  Equal
+    values sort by index, so an earlier equal value never counts as
+    greater (ties are common only at −1/−2: previous-occurrence arrays are
+    injective elsewhere).
     """
     n = len(p)
     if n <= 1:
         return np.zeros(n, dtype=np.int64)
     bits = (n - 1).bit_length()
-    m = 1 << bits
     if 3 * bits + 2 > 63:
         return _count_left_greater_wide(p)
     # key = (value + 2) << 2b  |  index << b  |  running count
-    keys = np.zeros(m, dtype=np.int64)
-    keys[:n] = (np.asarray(p, dtype=np.int64) + 2) << (2 * bits)
-    keys += np.arange(m, dtype=np.int64) << bits
-
-    if m >= _BRUTE:
-        block = (keys >> (2 * bits)).reshape(-1, _BRUTE)
-        greater_prefix = (block[:, :, None] > block[:, None, :]).cumsum(axis=1)
-        j = np.arange(_BRUTE)
-        within = np.where(j > 0, greater_prefix[:, j - 1, j], 0)
-        keys += within.reshape(-1)
-        half = _BRUTE
-    else:
-        half = 1
-
-    left_prefix = np.empty(m, dtype=np.int64)
-    index_lane = np.int64((m - 1) << bits)
-    while half < m:
-        wide = 2 * half
-        keys.reshape(-1, wide).sort(axis=1)
-        on_right = keys & np.int64(half << bits)  # index bit `half`: 0 or set
-        np.cumsum(on_right == 0, out=left_prefix)
-        base = np.repeat(
-            np.concatenate([[np.int64(0)], left_prefix[wide - 1 :: wide][:-1]]), wide
-        )
-        # Right-half elements gain (left-half elements above them in the
-        # block) = half − (left elements at or below them).
-        np.subtract(base, left_prefix, out=base)
-        base += half
-        base[on_right == 0] = 0
-        keys += base
-        half = wide
-
+    keys = (np.asarray(p, dtype=np.int64) + 2) << (2 * bits)
+    keys += np.arange(n, dtype=np.int64) << bits
+    for block, gain in _merge_levels(keys, bits):
+        block += gain
+    low = np.int64((1 << bits) - 1)
     counts = np.empty(n, dtype=np.int64)
-    position = (keys & index_lane) >> bits
-    keep = position < n
-    counts[position[keep]] = keys[keep] & np.int64(m - 1)
+    counts[(keys >> bits) & low] = keys & low
     return counts
 
 
 def _count_left_greater_wide(p: np.ndarray) -> np.ndarray:
     """Fallback for streams too long to pack value, index and count into
-    one int64 key (beyond ~2²⁰ elements): same blocked merge, with the
-    per-level counts scattered instead of carried."""
+    one int64 key (beyond ~2²⁰ elements): the same merge levels, with the
+    per-level gains scattered instead of carried."""
     n = len(p)
-    counts = np.zeros(n, dtype=np.int64)
     bits = (n - 1).bit_length()
-    m = 1 << bits
-    keys = np.zeros(m, dtype=np.int64)
-    keys[:n] = (np.asarray(p, dtype=np.int64) + 2) << bits
-    keys += np.arange(m, dtype=np.int64)
-    index_lane = np.int64(m - 1)
-
-    if m >= _BRUTE:
-        block = (keys >> bits).reshape(-1, _BRUTE)
-        greater_prefix = (block[:, :, None] > block[:, None, :]).cumsum(axis=1)
-        j = np.arange(_BRUTE)
-        within = np.where(j > 0, greater_prefix[:, j - 1, j], 0)
-        counts += within.reshape(-1)[:n]
-        half = _BRUTE
-    else:
-        half = 1
-
-    left_prefix = np.empty(m, dtype=np.int64)
-    while half < m:
-        wide = 2 * half
-        keys.reshape(-1, wide).sort(axis=1)
-        position = keys & index_lane
-        on_right = (position & half) != 0
-        np.cumsum(~on_right, out=left_prefix)
-        base = np.repeat(
-            np.concatenate([[np.int64(0)], left_prefix[wide - 1 :: wide][:-1]]), wide
-        )
-        valid = on_right & (position < n)
-        counts[position[valid]] += half - (left_prefix[valid] - base[valid])
-        half = wide
+    keys = (np.asarray(p, dtype=np.int64) + 2) << bits
+    keys += np.arange(n, dtype=np.int64)
+    index_lane = np.int64((1 << bits) - 1)
+    counts = np.zeros(n, dtype=np.int64)
+    for block, gain in _merge_levels(keys, 0):
+        counts[block & index_lane] += gain
     return counts
 
 
@@ -376,7 +361,7 @@ def lru_stack_distances(
     return StackDistanceProfile(counts, cold_total, total)
 
 
-# -- reference implementation (kept for equivalence tests) --------------------
+# -- reference implementation (the oracle tests compare against it) ----------
 
 
 def _distances_fenwick(stream: np.ndarray) -> tuple[np.ndarray, int]:

@@ -4,7 +4,7 @@ One engine per campaign job family:
 
 * :func:`sampled_stack_sweep` — interval-sampled LRU capacity sweeps.
   Per sampled window the engine computes exact per-reference stack
-  distances (the same Fenwick pass as :mod:`repro.core.stackdist`,
+  distances (the same blocked-merge pass as :mod:`repro.core.stackdist`,
   un-histogrammed so distances stay aligned with trace positions) over
   the warm prefix plus the window, and reads the window's miss counts
   for every capacity from the distances of the measured region alone.

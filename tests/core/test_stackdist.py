@@ -19,7 +19,14 @@ from repro.core import (
     lru_stack_distances,
     simulate,
 )
-from repro.core.stackdist import StackDistanceProfile
+from repro.core.stackdist import (
+    COLD_DISTANCE,
+    StackDistanceProfile,
+    _count_left_greater,
+    _count_left_greater_wide,
+    _distances_fenwick,
+    set_stack_distances,
+)
 from repro.trace import AccessKind, Trace, TraceMetadata
 
 from ..conftest import make_trace
@@ -175,3 +182,80 @@ def test_stack_curve_equals_direct_simulation(addresses, capacity_log, purge):
         trace, UnifiedCache(CacheGeometry(capacity, 16)), purge_interval=purge
     )
     assert report.miss_ratio == pytest.approx(float(curve[0]), abs=1e-12)
+
+
+# -- the counting kernel against brute-force oracles --------------------------
+
+#: Lengths at and around every power of two up to 2**12: the merge levels'
+#: full blocks, trailing partial block and single-element edges.
+_KERNEL_LENGTHS = sorted(
+    {0, 1, 2} | {n for k in range(1, 13) for n in (2**k - 1, 2**k, 2**k + 1)}
+)
+
+
+def _left_greater_oracle(p: np.ndarray) -> np.ndarray:
+    """O(n²) ``#{v < t : p[v] > p[t]}``."""
+    return np.array(
+        [np.count_nonzero(p[:t] > p[t]) for t in range(len(p))], dtype=np.int64
+    )
+
+
+def _tie_heavy_values(n: int, seed: int) -> np.ndarray:
+    """Values in [−2, n): about half −1/−2 ties, the rest drawn with repeats."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, max(n, 1), size=n)
+    ties = rng.random(n) < 0.5
+    values[ties] = rng.choice([-2, -1], size=int(ties.sum()))
+    return values.astype(np.int64)
+
+
+@pytest.mark.parametrize("kernel", [_count_left_greater, _count_left_greater_wide])
+@pytest.mark.parametrize("n", _KERNEL_LENGTHS)
+def test_count_left_greater_matches_quadratic_oracle(kernel, n):
+    p = _tie_heavy_values(n, seed=n)
+    counts = kernel(p)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, _left_greater_oracle(p))
+
+
+@pytest.mark.parametrize("kernel", [_count_left_greater, _count_left_greater_wide])
+def test_count_left_greater_extremes(kernel):
+    # Strictly decreasing: every earlier value is greater, so the counts
+    # fill their packed field; all ties or increasing: none is.
+    n = 2**12 + 1
+    np.testing.assert_array_equal(kernel(np.arange(n)[::-1] - 2), np.arange(n))
+    np.testing.assert_array_equal(kernel(np.full(n, -2)), np.zeros(n))
+    np.testing.assert_array_equal(kernel(np.arange(n) - 2), np.zeros(n))
+
+
+def _fenwick_set_distances(lines, num_sets, resets) -> np.ndarray:
+    """Per-reference distances assembled from per-set, per-epoch Fenwick
+    passes: cold references are each segment's first touches."""
+    out = np.empty(len(lines), dtype=np.int64)
+    bounds = [0, *sorted({r for r in resets if 0 < r < len(lines)}), len(lines)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for s in range(num_sets):
+            where = lo + np.flatnonzero((lines[lo:hi] & (num_sets - 1)) == s)
+            stream = lines[where]
+            distances, cold = _distances_fenwick(stream)
+            _, first = np.unique(stream, return_index=True)
+            is_cold = np.zeros(len(stream), dtype=bool)
+            is_cold[first] = True
+            assert cold == len(first)
+            out[where[is_cold]] = COLD_DISTANCE
+            out[where[~is_cold]] = distances
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lines=st.lists(st.integers(0, 300), max_size=400),
+    num_sets=st.sampled_from([1, 4, 64]),
+    resets=st.one_of(st.none(), st.lists(st.integers(0, 400), max_size=6)),
+)
+def test_set_stack_distances_match_fenwick(lines, num_sets, resets):
+    lines = np.asarray(lines, dtype=np.int64)
+    reset_array = None if resets is None else np.array(sorted(resets), dtype=np.int64)
+    expected = _fenwick_set_distances(lines, num_sets, resets or [])
+    got = set_stack_distances(lines, num_sets, reset_array)
+    np.testing.assert_array_equal(got, expected)
