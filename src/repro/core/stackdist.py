@@ -269,10 +269,12 @@ def _stack_distances_ordered(
         keep[1:] |= epochs[1:] != epochs[:-1]
     deduped = values[keep]
     prev = _prev_occurrence(deduped, epochs[keep] if epochs is not None else None)
-    cold = prev < 0
-    distances = np.arange(len(deduped), dtype=np.int64) - prev
-    distances -= _count_left_greater(prev)
-    distances[cold] = COLD_DISTANCE
+    # A first touch (prev −1) is never greater than a reuse's prev, so
+    # only the reuses enter the count, and they keep their relative order.
+    reused = np.flatnonzero(prev >= 0)
+    reused_prev = prev[reused]
+    distances = np.full(len(deduped), COLD_DISTANCE, dtype=np.int64)
+    distances[reused] = reused - reused_prev - _count_left_greater(reused_prev)
     out[keep] = distances
     return out
 

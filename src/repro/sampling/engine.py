@@ -113,6 +113,65 @@ def _purge_resets(positions: np.ndarray, purge_interval: int | None) -> np.ndarr
     return resets if len(resets) else None
 
 
+def _prefixed_window_counts(
+    lines: np.ndarray,
+    positions: np.ndarray,
+    purge_interval: int | None,
+    caps_lines: np.ndarray,
+    lo: np.ndarray,
+    mid: np.ndarray,
+    hi: np.ndarray,
+    warmed: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Miss counts and overcount bounds of prefix-warmed windows.
+
+    Window ``k`` replays ``lines[lo[k]:hi[k]]`` from an empty stack — its
+    warm prefix up to ``mid[k]``, then the measured references.  The
+    segments are laid end to end with a reset at each segment start, so
+    one distance pass gives every window exactly the distances a pass of
+    its own would, without paying the kernel's per-call cost per window.
+    ``warmed[k]`` is false when the prefix reaches back to the trace
+    start (its cold references are then real).
+
+    Returns ``(misses, bias_up)``, each of shape ``(windows, capacities)``.
+    The overcount bound is the window's cold references before its first
+    purge, capped per capacity by the prefix's distinct-line coverage; a
+    purge inside the prefix makes the state exact (bound zero).
+    """
+    lengths = hi - lo
+    ends = np.cumsum(lengths)
+    firsts = ends - lengths
+    index = np.arange(ends[-1], dtype=np.int64) + np.repeat(lo - firsts, lengths)
+    purges = _purge_resets(positions[index], purge_interval)
+    resets = firsts[1:] if purges is None else np.union1d(firsts[1:], purges)
+    distances = _segment_distances(lines[index], resets)
+
+    # Running counts of references past each capacity: a window's misses
+    # are the difference across its measured slice.
+    window_start = firsts + (mid - lo)
+    exceeds = np.zeros((len(distances) + 1, len(caps_lines)), dtype=np.int64)
+    np.cumsum(distances[:, None] > caps_lines[None, :], axis=0, out=exceeds[1:])
+    misses = (exceeds[ends] - exceeds[window_start]).astype(float)
+
+    # First purge after each segment start (a purge flagged at the start
+    # itself is the segment reset), else the segment end.
+    if purges is None:
+        first_purge = ends
+    else:
+        slot = np.searchsorted(purges, firsts, side="right")
+        first_purge = np.minimum(np.append(purges, ends[-1])[slot], ends)
+    cold = np.concatenate([[0], np.cumsum(distances == _COLD)])
+    window_cold = cold[first_purge] - cold[window_start]
+    # With no purge in the prefix, its cold references are its distinct lines.
+    prefix_distinct = cold[window_start] - cold[firsts]
+    bias_up = np.minimum(
+        window_cold[:, None],
+        np.maximum(0, caps_lines[None, :] - prefix_distinct[:, None]),
+    ).astype(float)
+    bias_up[~(warmed & (first_purge > window_start))] = 0.0
+    return misses, bias_up
+
+
 # -- interval-sampled stack sweep --------------------------------------------
 
 
@@ -203,42 +262,29 @@ def sampled_stack_sweep(
             measured += iv.stop - iv.start
             replayed += iv.stop - iv.start
     else:
-        warm = plan.warmup_references
-        for w, iv in enumerate(selection.intervals):
-            warm_start = max(0, iv.start - warm)
-            lo, mid, hi = (
-                int(b)
-                for b in np.searchsorted(
-                    positions, [warm_start, iv.start, iv.stop], side="left"
-                )
+        starts = np.array([iv.start for iv in selection.intervals], dtype=np.int64)
+        stops = np.array([iv.stop for iv in selection.intervals], dtype=np.int64)
+        warm_starts = np.maximum(0, starts - plan.warmup_references)
+        lo, mid, hi = (
+            np.searchsorted(positions, bound, side="left")
+            for bound in (warm_starts, starts, stops)
+        )
+        measured = int((stops - starts).sum())
+        replayed = int((stops - warm_starts).sum())
+        refs[:] = hi - mid
+        # Windows that matched no (filtered) references add nothing.
+        live = np.flatnonzero(hi > mid)
+        if len(live):
+            misses[live], bias_up[live] = _prefixed_window_counts(
+                lines,
+                positions,
+                job.purge_interval,
+                caps_lines,
+                lo[live],
+                mid[live],
+                hi[live],
+                warm_starts[live] > 0,
             )
-            measured += iv.stop - iv.start
-            replayed += iv.stop - warm_start
-            if hi == mid:
-                continue  # window matched no (filtered) references
-            segment = lines[lo:hi]
-            resets = _purge_resets(positions[lo:hi], job.purge_interval)
-            distances = _segment_distances(segment, resets)
-            window_distances = distances[mid - lo :]
-            misses[w] = _miss_counts(window_distances, caps_lines)
-            refs[w] = hi - mid
-            if warm_start == 0:
-                continue  # full history included: cold references are real
-            prefix_length = mid - lo
-            if resets is not None and (resets <= prefix_length).any():
-                continue  # a purge inside the prefix makes the state exact
-            # Overcount bound: cold references before any in-window purge,
-            # refined per capacity by the prefix's distinct-line coverage.
-            if resets is not None and len(resets):
-                bias_end = int(resets[0]) - prefix_length
-            else:
-                bias_end = hi - mid
-            cold = int(np.count_nonzero(window_distances[:bias_end] == _COLD))
-            if cold:
-                prefix_distinct = len(np.unique(segment[:prefix_length]))
-                bias_up[w] = np.minimum(
-                    cold, np.maximum(0, caps_lines - prefix_distinct)
-                )
 
     estimates = ratio_estimates(
         misses,

@@ -245,8 +245,7 @@ def ratio_estimates(
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(boot_den[:, None] > 0, boot_num / np.maximum(boot_den[:, None], 1e-300), 0.0)
         tail = (1.0 - confidence) / 2.0
-        low = np.quantile(ratios, tail, axis=0)
-        high = np.quantile(ratios, 1.0 - tail, axis=0)
+        low, high = np.quantile(ratios, [tail, 1.0 - tail], axis=0)
         # Percentile intervals under-cover with few units; widen by t/z
         # around the point estimate.
         factor = _small_sample_factor(units)

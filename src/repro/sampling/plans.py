@@ -351,27 +351,37 @@ def window_mix_features(trace: Trace, candidates: int, window: int) -> np.ndarra
     from ..trace.record import AccessKind
 
     limit = min(len(trace), candidates * window)
-    kinds = trace.kinds[:limit]
-    win = np.arange(limit, dtype=np.int64) // window
-    lengths = np.bincount(win, minlength=candidates).astype(float)
+    # Window w covers trace references [edges[w], edges[w + 1]); per-window
+    # counts of any sorted index array are one searchsorted of the edges.
+    edges = np.minimum(np.arange(candidates + 1, dtype=np.int64) * window, limit)
+    sizes = np.diff(edges)
+    lengths = sizes.astype(float)
     lengths[lengths == 0] = 1.0
 
-    mix = np.zeros((candidates, 3), dtype=float)
-    for column, kind in enumerate((AccessKind.IFETCH, AccessKind.READ, AccessKind.WRITE)):
-        mix[:, column] = np.bincount(win[kinds == int(kind)], minlength=candidates)
+    def per_window(indices: np.ndarray, bounds: np.ndarray = edges) -> np.ndarray:
+        return np.diff(np.searchsorted(indices, bounds)).astype(float)
+
+    kinds = trace.kinds[:limit]
+    ifetch = np.flatnonzero(kinds == int(AccessKind.IFETCH))
+    fetches = per_window(ifetch)
+    mix = np.column_stack(
+        [
+            fetches,
+            per_window(np.flatnonzero(kinds == int(AccessKind.READ))),
+            per_window(np.flatnonzero(kinds == int(AccessKind.WRITE))),
+        ]
+    )
     mix /= lengths[:, None]
 
     # Branch heuristic over consecutive same-window ifetch pairs — exactly
-    # the pairs a per-window slice would see.
-    ifetch = np.nonzero(kinds == int(AccessKind.IFETCH))[0]
+    # the pairs a per-window slice would see (m ifetches make m - 1 pairs).
     branch = np.zeros(candidates, dtype=float)
     if len(ifetch) >= 2:
-        first = win[ifetch[:-1]]
-        same = first == win[ifetch[1:]]
+        win = np.repeat(np.arange(candidates, dtype=np.int64), sizes)[ifetch]
         delta = np.diff(trace.addresses[:limit][ifetch])
-        taken = same & ((delta < 0) | (delta > BRANCH_WINDOW_BYTES))
-        pairs = np.bincount(first[same], minlength=candidates).astype(float)
-        counts = np.bincount(first[taken], minlength=candidates).astype(float)
+        taken = (win[1:] == win[:-1]) & ((delta < 0) | (delta > BRANCH_WINDOW_BYTES))
+        pairs = np.maximum(fetches - 1, 0)
+        counts = per_window(ifetch[:-1][taken])
         branch = np.divide(
             counts, pairs, out=np.zeros(candidates, dtype=float), where=pairs > 0
         )
@@ -380,21 +390,25 @@ def window_mix_features(trace: Trace, candidates: int, window: int) -> np.ndarra
     # per window over the compiled line stream, matching how
     # ``characterize`` counts instruction and data lines separately.
     compiled = trace.compiled(FOOTPRINT_LINE_SIZE)
-    inside = compiled.positions < limit
-    line_win = compiled.positions[inside] // window
-    line_kind = compiled.kinds[inside]
-    group = np.where(
-        line_kind == int(AccessKind.IFETCH),
-        0,
-        np.where(line_kind == int(AccessKind.FETCH), 2, 1),
-    )
-    key = compiled.lines[inside] * 3 + group
-    order = np.lexsort((key, line_win))
-    sorted_win = line_win[order]
-    sorted_key = key[order]
-    fresh = np.ones(len(sorted_key), dtype=bool)
-    fresh[1:] = (sorted_key[1:] != sorted_key[:-1]) | (sorted_win[1:] != sorted_win[:-1])
-    footprint = np.bincount(sorted_win[fresh], minlength=candidates).astype(float)
+    line_edges = np.searchsorted(compiled.positions, edges)
+    inside = int(line_edges[-1])
+    line_win = np.repeat(np.arange(candidates, dtype=np.int64), np.diff(line_edges))
+    group = np.ones(max(AccessKind) + 1, dtype=np.int64)
+    group[int(AccessKind.IFETCH)] = 0
+    group[int(AccessKind.FETCH)] = 2
+    key = compiled.lines[:inside] * 3 + group[compiled.kinds[:inside]]
+    span = int(key.max()) + 1 if inside else 1
+    if candidates * span < 1 << 62:
+        # One int64 sort of window-major packed keys (a lexsort is
+        # several times slower).
+        ordered = np.sort(line_win * span + key)
+        repeat = ordered[1:] == ordered[:-1]
+    else:
+        ordered = key[np.lexsort((key, line_win))]
+        repeat = (ordered[1:] == ordered[:-1]) & (line_win[1:] == line_win[:-1])
+    # Both orders are window-major, so window w keeps its line_edges slice;
+    # within it, a repeat of the previous key is no new footprint.
+    footprint = np.diff(line_edges) - per_window(np.flatnonzero(repeat) + 1, line_edges)
     density = footprint * FOOTPRINT_LINE_SIZE / lengths
 
     return np.column_stack([mix, branch, density])
@@ -425,10 +439,15 @@ def kmeans(
     clusters = max(1, min(clusters, n))
     centers = features[rng.choice(n, size=clusters, replace=False)].copy()
     labels = np.zeros(n, dtype=np.int64)
+    settled = None
     for _ in range(iterations):
         squared = ((features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = squared.argmin(axis=1)
+        if settled is not None and np.array_equal(labels, settled):
+            # Same members, same means: every later iteration repeats this one.
+            break
         nearest = squared[np.arange(n), labels]
+        settled = labels.copy()
         for c in range(clusters):
             members = labels == c
             if members.any():
@@ -438,6 +457,7 @@ def kmeans(
                 centers[c] = features[farthest]
                 labels[farthest] = c
                 nearest[farthest] = 0.0
+                settled = None
     return labels, centers
 
 

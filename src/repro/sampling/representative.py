@@ -108,6 +108,10 @@ class WindowProfile:
             footprint-growth curve's increments).
         sketch: ``(windows, buckets+1)`` log2-bucketed counts of the
             fresh-pass distances; the last column is the cold bucket.
+        ranked: ``win * (n + 2) + min(measured, n + 1)`` in ascending
+            order (``n`` line references): each window's measured
+            distances sorted within its own slice, so any threshold's
+            per-window miss counts are one ``searchsorted`` away.
     """
 
     starts: np.ndarray
@@ -121,6 +125,7 @@ class WindowProfile:
     exact: np.ndarray
     first_touch: np.ndarray
     sketch: np.ndarray
+    ranked: np.ndarray
 
     @property
     def windows(self) -> int:
@@ -267,6 +272,7 @@ def _build_profile(
         exact=exact,
         first_touch=first_touch,
         sketch=sketch,
+        ranked=np.sort(win * (n + 2) + np.minimum(measured, n + 1)),
     )
 
 
@@ -277,15 +283,15 @@ def window_miss_counts(profile: WindowProfile, thresholds: np.ndarray) -> np.nda
     per-set profile) iff its measured distance exceeds it; cold
     references miss every threshold.
     """
-    thresholds = np.asarray(thresholds, dtype=np.int64)
-    counts = np.empty((profile.windows, len(thresholds)), dtype=float)
-    for column, threshold in enumerate(thresholds.tolist()):
-        counts[:, column] = np.bincount(
-            profile.win,
-            weights=(profile.measured > threshold).astype(float),
-            minlength=profile.windows,
-        )
-    return counts
+    n = len(profile.measured)
+    # Finite distances are at most n, so a threshold above n acts as n
+    # (cold references, ranked at n + 1, still miss it).
+    clipped = np.minimum(np.asarray(thresholds, dtype=np.int64), n)
+    queries = np.arange(profile.windows, dtype=np.int64)[:, None] * (n + 2)
+    queries = queries + clipped[None, :]
+    at_or_below = np.searchsorted(profile.ranked, queries.ravel(), side="right")
+    window_ends = np.cumsum(profile.refs)
+    return (window_ends[:, None] - at_or_below.reshape(queries.shape)).astype(float)
 
 
 def overcount_bounds(
