@@ -192,7 +192,7 @@ def _merge_levels(keys: np.ndarray, index_shift: int):
         shift = index_shift + half.bit_length() - 1
         ramp = np.arange(half - 1, -half - 1, -1, dtype=np.int64)
         for block in (keys[:full].reshape(-1, wide), keys[full:].reshape(1, -1)):
-            if block.shape[1] <= half:
+            if not len(block) or block.shape[1] <= half:
                 continue
             block.sort(axis=1, kind="stable")
             right = block >> shift

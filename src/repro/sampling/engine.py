@@ -142,7 +142,7 @@ def _prefixed_window_counts(
     ends = np.cumsum(lengths)
     firsts = ends - lengths
     index = np.arange(ends[-1], dtype=np.int64) + np.repeat(lo - firsts, lengths)
-    purges = _purge_resets(positions[index], purge_interval)
+    purges = None if purge_interval is None else _purge_resets(positions[index], purge_interval)
     resets = firsts[1:] if purges is None else np.union1d(firsts[1:], purges)
     distances = _segment_distances(lines[index], resets)
 
