@@ -18,8 +18,9 @@ line ``t`` (−1 if none), the stack distance is
 because every duplicate inside the reuse window ``(p[t], t)`` is a
 reference ``v`` whose own previous occurrence also lies inside the window,
 i.e. ``p[v] > p[t]`` (and ``p[v] < v`` always, so the window constraint
-reduces to ``v < t``).  That turns distance computation into per-element
-*left-inversion counting* over the ``p`` array, which
+reduces to ``v < t``).  A first touch (``p = −1``) is never greater, so
+the count runs over the reuses alone.  That turns distance computation
+into per-element *left-inversion counting* over the ``p`` array, which
 :func:`_count_left_greater` performs with a bottom-up blocked merge.  Each
 key packs an element's value, its index and its running count into one
 int64.  Level ``k`` merges the sorted halves of every block of ``2**k``

@@ -82,13 +82,13 @@ _BUDGET_FLOOR = 1e-3
 
 
 def _segment_distances(segment: np.ndarray, resets: np.ndarray | None) -> np.ndarray:
-    """Per-reference LRU stack distances of one sampled segment.
+    """Per-reference LRU stack distances of sampled references.
 
     Consecutive repeats are distance 1; cold references get the
-    :data:`_COLD` sentinel; ``resets`` marks purge points.  Delegates to
-    the vectorized machinery of :mod:`repro.core.stackdist`, so sampled
-    windows take the same array passes as full sweeps instead of the old
-    per-reference Fenwick loop.
+    :data:`_COLD` sentinel; ``resets`` marks purge points and the starts
+    of segments laid end to end.  Delegates to the vectorized machinery
+    of :mod:`repro.core.stackdist`, so sampled windows take the same
+    array passes as full sweeps.
     """
     return set_stack_distances(segment, 1, resets)
 
@@ -146,12 +146,14 @@ def _prefixed_window_counts(
     resets = firsts[1:] if purges is None else np.union1d(firsts[1:], purges)
     distances = _segment_distances(lines[index], resets)
 
-    # Running counts of references past each capacity: a window's misses
-    # are the difference across its measured slice.
+    # Running counts of references past each capacity (and, last row, of
+    # cold references): a window's counts are differences across slices.
     window_start = firsts + (mid - lo)
-    exceeds = np.zeros((len(distances) + 1, len(caps_lines)), dtype=np.int64)
-    np.cumsum(distances[:, None] > caps_lines[None, :], axis=0, out=exceeds[1:])
-    misses = (exceeds[ends] - exceeds[window_start]).astype(float)
+    bounds = np.append(caps_lines, _COLD - 1)
+    running = np.zeros((len(bounds), len(distances) + 1), dtype=np.int64)
+    np.cumsum(distances > bounds[:, None], axis=1, out=running[:, 1:])
+    misses = (running[:-1, ends] - running[:-1, window_start]).T.astype(float)
+    cold = running[-1]
 
     # First purge after each segment start (a purge flagged at the start
     # itself is the segment reset), else the segment end.
@@ -160,7 +162,6 @@ def _prefixed_window_counts(
     else:
         slot = np.searchsorted(purges, firsts, side="right")
         first_purge = np.minimum(np.append(purges, ends[-1])[slot], ends)
-    cold = np.concatenate([[0], np.cumsum(distances == _COLD)])
     window_cold = cold[first_purge] - cold[window_start]
     # With no purge in the prefix, its cold references are its distinct lines.
     prefix_distinct = cold[window_start] - cold[firsts]

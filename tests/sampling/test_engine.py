@@ -313,3 +313,52 @@ class TestSampledJob:
         wrapped = SampledJob(job, plan).run(trace)
         assert wrapped.value == direct.value
         assert wrapped.info.estimates == direct.info.estimates
+
+
+class TestBatchedWindowPass:
+    """One distance pass over all windows equals one pass per window."""
+
+    @staticmethod
+    def _per_window(lines, positions, purge, caps, lo, mid, hi, warmed):
+        from repro.core.stackdist import COLD_DISTANCE, set_stack_distances
+        from repro.sampling.engine import _purge_resets
+
+        misses = np.zeros((len(lo), len(caps)))
+        bias = np.zeros((len(lo), len(caps)))
+        for w in range(len(lo)):
+            segment = lines[lo[w] : hi[w]]
+            resets = _purge_resets(positions[lo[w] : hi[w]], purge)
+            distances = set_stack_distances(segment, 1, resets)
+            prefix = mid[w] - lo[w]
+            window = distances[prefix:]
+            misses[w] = [(window > c).sum() for c in caps]
+            if not warmed[w] or (resets is not None and (resets <= prefix).any()):
+                continue
+            end = len(window) if resets is None else int(resets[0]) - prefix
+            cold = int((window[:end] == COLD_DISTANCE).sum())
+            distinct = len(np.unique(segment[:prefix]))
+            bias[w] = np.minimum(cold, np.maximum(0, caps - distinct))
+        return misses, bias
+
+    @pytest.mark.parametrize("purge", [None, 1, 7, 40, 500])
+    def test_matches_a_pass_per_window(self, purge):
+        from repro.sampling.engine import _prefixed_window_counts
+
+        rng = np.random.default_rng(purge or 0)
+        caps = np.array([1, 3, 8, 64])
+        for _ in range(40):
+            n = int(rng.integers(1, 400))
+            lines = rng.integers(0, int(rng.integers(1, 30)), size=n)
+            # Non-decreasing positions with repeats, like straddling accesses.
+            positions = np.cumsum(rng.integers(0, 3, size=n))
+            windows = int(rng.integers(1, 8))
+            mid = np.sort(rng.integers(0, n, size=windows))
+            hi = np.minimum(n, mid + rng.integers(1, 60, size=windows))
+            lo = np.maximum(0, mid - rng.integers(0, 80, size=windows))
+            warmed = rng.random(windows) < 0.7
+            got = _prefixed_window_counts(
+                lines, positions, purge, caps, lo, mid, hi, warmed
+            )
+            want = self._per_window(lines, positions, purge, caps, lo, mid, hi, warmed)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])

@@ -233,3 +233,46 @@ class TestStratifiedEdgeCases:
         again = select_intervals(plan, len(trace), trace)
         assert first.intervals == again.intervals
         assert np.array_equal(first.expansion, again.expansion)
+
+
+class TestWindowMixFeatures:
+    """The vectorized features equal a per-window slice-and-count."""
+
+    @staticmethod
+    def _sliced(trace, candidates, window):
+        from repro.trace import AccessKind
+
+        lines = trace.compiled(16)
+        rows = []
+        for w in range(candidates):
+            lo, hi = w * window, min(len(trace), (w + 1) * window)
+            hi = max(lo, hi)
+            kinds = trace.kinds[lo:hi]
+            length = max(1, hi - lo)
+            mix = [np.count_nonzero(kinds == int(k)) / length for k in (0, 1, 2)]
+            fetch = lo + np.flatnonzero(kinds == int(AccessKind.IFETCH))
+            delta = np.diff(trace.addresses[fetch])
+            taken = np.count_nonzero((delta < 0) | (delta > 8))
+            branch = taken / len(delta) if len(delta) else 0.0
+            inside = (lines.positions >= lo) & (lines.positions < hi)
+            group = np.where(
+                lines.kinds[inside] == int(AccessKind.IFETCH),
+                0,
+                np.where(lines.kinds[inside] == int(AccessKind.FETCH), 2, 1),
+            )
+            distinct = len(set(zip(lines.lines[inside].tolist(), group.tolist())))
+            rows.append(mix + [branch, distinct * 16 / length])
+        return np.array(rows)
+
+    @pytest.mark.parametrize("window", [1, 37, 500, 3000])
+    def test_matches_per_window_slices(self, window):
+        from repro.sampling.plans import window_mix_features
+
+        trace = catalog.generate("LISP1", 6000)
+        for candidates in (6000 // window, 6000 // window + 2):
+            np.testing.assert_allclose(
+                window_mix_features(trace, candidates, window),
+                self._sliced(trace, candidates, window),
+                rtol=0,
+                atol=1e-12,
+            )

@@ -198,3 +198,20 @@ class TestCampaignIntegration:
         )
         for a, b, c in zip(exact.outcomes, sampled.outcomes, other.outcomes):
             assert len({a.key, b.key, c.key}) == 3
+
+
+class TestWindowMissCounts:
+    def test_matches_a_count_per_window_and_threshold(self, traces):
+        for purge in (None, 3000):
+            profile = window_profile(
+                traces["ZGREP"], LINE, 700, purge_interval=purge
+            )
+            thresholds = [1, 2, 5, 64, 10**6, 10**12]
+            counts = window_miss_counts(profile, thresholds)
+            for column, threshold in enumerate(thresholds):
+                expected = np.bincount(
+                    profile.win,
+                    weights=profile.measured > threshold,
+                    minlength=profile.windows,
+                )
+                np.testing.assert_array_equal(counts[:, column], expected)
