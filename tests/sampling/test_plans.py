@@ -265,10 +265,17 @@ class TestWindowMixFeatures:
         return np.array(rows)
 
     @pytest.mark.parametrize("window", [1, 37, 500, 3000])
-    def test_matches_per_window_slices(self, window):
+    @pytest.mark.parametrize("offset", [0, 1 << 61])
+    def test_matches_per_window_slices(self, window, offset):
         from repro.sampling.plans import window_mix_features
+        from repro.trace.stream import Trace
 
         trace = catalog.generate("LISP1", 6000)
+        # Addresses near 2**62 overflow the packed footprint keys and take
+        # the lexsort path.
+        trace = Trace(
+            trace.kinds, trace.addresses + offset, trace.sizes, trace.metadata
+        )
         for candidates in (6000 // window, 6000 // window + 2):
             np.testing.assert_allclose(
                 window_mix_features(trace, candidates, window),
