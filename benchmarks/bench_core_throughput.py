@@ -9,12 +9,13 @@ generation — both engines, per workload family, at ``REPRO_BENCH_GEN_REFS``
 references — the shared trace store's cold-write and warm-mmap paths,
 and the ``.rtrc`` load paths (memory-mapped vs eager copy).
 
-The LRU kernel and the stack-distance sweep are timed twice.  The plain
-entries (``simulator_kernel``, ``stack_distance_sweep``) are *cold*: every
-round gets a fresh ``Trace`` object over the same arrays, so the line
-expansion and the distance pass run each time instead of being served
-from ``CompiledTrace.memo``.  The ``_warm`` entries reuse one trace and so
-time the memo hit a repeated query pays.
+The LRU kernel, the mechanism-carrying replays and the stack-distance
+sweep are timed twice.  The plain entries (``simulator_kernel``,
+``simulator_victim_cache``, ``stack_distance_sweep``, ...) are *cold*:
+every round gets a fresh ``Trace`` object over the same arrays, so the
+line expansion and the hit/miss classification run each time instead of
+being served from ``CompiledTrace.memo``.  The ``_warm`` entries reuse one
+trace and so time the memo hit a repeated query pays.
 
 Besides the usual pytest-benchmark console table, the module writes a
 machine-readable summary — references/second per hot path — to
@@ -172,75 +173,95 @@ def test_simulator_generic_throughput(benchmark, trace, throughput_log):
     _record(throughput_log, "simulator_generic", benchmark, REFS)
 
 
-def test_simulator_victim_cache_throughput(benchmark, trace, throughput_log):
-    # Mechanism-carrying organizations always replay on the generic
-    # engine; this pins the cost of a victim cache on the miss path.
-    def run():
+def _mechanism(config):
+    """``run(trace)``: a 16 KB direct-mapped primary carrying ``config``."""
+
+    def run(trace):
         return simulate(
             trace,
-            UnifiedCache(
-                CacheGeometry(16384, 16, 1),
-                miss_path=MechanismConfig(victim_entries=4).build(16),
-            ),
+            UnifiedCache(CacheGeometry(16384, 16, 1), miss_path=config.build(16)),
         )
 
-    report = benchmark(run)
+    return run
+
+
+_victim_cache = _mechanism(MechanismConfig(victim_entries=4))
+_miss_cache = _mechanism(MechanismConfig(miss_entries=4))
+_stream_buffers = _mechanism(MechanismConfig(stream_buffers=4, stream_depth=4))
+
+
+def test_simulator_victim_cache_throughput(benchmark, trace, throughput_log):
+    report = _cold(benchmark, trace, _victim_cache)
     assert report.references == REFS
     assert "victim-cache" in report.mechanism_names
     _record(throughput_log, "simulator_victim_cache", benchmark, REFS)
 
 
-def test_simulator_miss_cache_throughput(benchmark, trace, throughput_log):
-    def run():
-        return simulate(
-            trace,
-            UnifiedCache(
-                CacheGeometry(16384, 16, 1),
-                miss_path=MechanismConfig(miss_entries=4).build(16),
-            ),
-        )
+def test_simulator_victim_cache_warm_throughput(benchmark, trace, throughput_log):
+    _victim_cache(trace)  # fill the memo; every timed round is a hit
+    report = benchmark(_victim_cache, trace)
+    assert report.references == REFS
+    _record(throughput_log, "simulator_victim_cache_warm", benchmark, REFS)
 
-    report = benchmark(run)
+
+def test_simulator_miss_cache_throughput(benchmark, trace, throughput_log):
+    report = _cold(benchmark, trace, _miss_cache)
     assert report.references == REFS
     assert "miss-cache" in report.mechanism_names
     _record(throughput_log, "simulator_miss_cache", benchmark, REFS)
 
 
-def test_simulator_stream_buffers_throughput(benchmark, trace, throughput_log):
-    def run():
-        return simulate(
-            trace,
-            UnifiedCache(
-                CacheGeometry(16384, 16, 1),
-                miss_path=MechanismConfig(stream_buffers=4, stream_depth=4).build(16),
-            ),
-        )
+def test_simulator_miss_cache_warm_throughput(benchmark, trace, throughput_log):
+    _miss_cache(trace)
+    report = benchmark(_miss_cache, trace)
+    assert report.references == REFS
+    _record(throughput_log, "simulator_miss_cache_warm", benchmark, REFS)
 
-    report = benchmark(run)
+
+def test_simulator_stream_buffers_throughput(benchmark, trace, throughput_log):
+    report = _cold(benchmark, trace, _stream_buffers)
     assert report.references == REFS
     assert "stream-buffers" in report.mechanism_names
     _record(throughput_log, "simulator_stream_buffers", benchmark, REFS)
 
 
+def test_simulator_stream_buffers_warm_throughput(benchmark, trace, throughput_log):
+    _stream_buffers(trace)
+    report = benchmark(_stream_buffers, trace)
+    assert report.references == REFS
+    _record(throughput_log, "simulator_stream_buffers_warm", benchmark, REFS)
+
+
+#: Primary sizes of the two-level sweep (the hierarchy study's inner loop:
+#: the same trace through DL1+L2 at several primary sizes).
+_TWO_LEVEL_SIZES = (1024, 4096, 16384)
+
+
+def _two_level_sweep(trace):
+    reports = []
+    for size in _TWO_LEVEL_SIZES:
+        organization = UnifiedCache(
+            CacheGeometry(size, 16, 1),
+            miss_path=MechanismConfig(l2_size=size * 16, l2_line_size=32).build(16),
+        )
+        reports.append(simulate(trace, organization))
+    return reports
+
+
 def test_simulator_two_level_sweep_throughput(benchmark, trace, throughput_log):
-    # A small two-level sweep: the same trace through DL1+L2 at several
-    # primary sizes (the hierarchy study's inner loop).
-    sizes = (1024, 4096, 16384)
-
-    def run():
-        reports = []
-        for size in sizes:
-            organization = UnifiedCache(
-                CacheGeometry(size, 16, 1),
-                miss_path=MechanismConfig(l2_size=size * 16, l2_line_size=32).build(16),
-            )
-            reports.append(simulate(trace, organization))
-        return reports
-
-    reports = benchmark(run)
+    reports = _cold(benchmark, trace, _two_level_sweep)
     assert all("l2" in r.mechanism_names for r in reports)
     # One run replays the trace once per primary size.
-    _record(throughput_log, "simulator_two_level_sweep", benchmark, REFS * len(sizes))
+    refs = REFS * len(_TWO_LEVEL_SIZES)
+    _record(throughput_log, "simulator_two_level_sweep", benchmark, refs)
+
+
+def test_simulator_two_level_sweep_warm_throughput(benchmark, trace, throughput_log):
+    _two_level_sweep(trace)
+    reports = benchmark(_two_level_sweep, trace)
+    assert all("l2" in r.mechanism_names for r in reports)
+    refs = REFS * len(_TWO_LEVEL_SIZES)
+    _record(throughput_log, "simulator_two_level_sweep_warm", benchmark, refs)
 
 
 def _table1_sweep(trace):

@@ -17,8 +17,13 @@ instead of brute-force per-reference dispatch:
   members use specialized dict loops (DEW's observation that FIFO needs no
   reorder on hit makes the FIFO loop branch-free on the hit path); LRU
   members that start warm, or write-through-no-allocate members, use the
-  original tight dict loop.  :func:`repro.core.simulator.simulate` selects
-  the kernel automatically when :func:`can_replay` approves the
+  original tight dict loop.  Direct-mapped members carrying a miss-path
+  chain (victim/miss caches, stream buffers, an L2) take the miss-stream
+  replay: a direct-mapped hit is "the previous reference to this set
+  touched the same line", one vectorized classification per trace view,
+  and a Python loop then visits only the misses, purges and the warmup
+  reset, driving the real chain objects.  :func:`repro.core.simulator.simulate`
+  selects the kernel automatically when :func:`can_replay` approves the
   organization.
 
 * :func:`all_associativity_hit_counts` — per-set LRU stack distances over
@@ -39,6 +44,8 @@ random victim draws.
 
 from __future__ import annotations
 
+import functools
+import heapq
 from collections.abc import Sequence
 
 import numpy as np
@@ -67,9 +74,10 @@ _WRITE = int(AccessKind.WRITE)
 
 # Event tags; a purge at the same trace position as the warmup reset runs
 # first, matching the engine's order (purge inside the warmup loop, reset
-# after it).
+# after it).  Both precede the miss-stream replay's miss at that position.
 _PURGE = 0
 _RESET = 1
+_MISS = 2
 
 
 # -- kernel selection --------------------------------------------------------
@@ -95,12 +103,22 @@ def _policy_kind(cache: Cache) -> str | None:
 
 def _cache_qualifies(cache: Cache) -> bool:
     """True iff one cache array is expressible by the replay kernel."""
-    return (
+    if not (
         type(cache) is Cache
         and cache.fetch_policy is FetchPolicy.DEMAND
         and cache.write_policy.combining_bytes == 0
-        and cache.miss_path is None  # mechanisms need the generic engine
-        and _policy_kind(cache) is not None
+    ):
+        return False
+    policy = _policy_kind(cache)
+    if cache.miss_path is None:
+        return policy is not None
+    # Miss-stream replay: one way makes LRU and FIFO identical and the
+    # victim deterministic (a 1-way RANDOM set still draws from its rng).
+    return (
+        policy in ("lru", "fifo")
+        and cache.geometry.ways == 1
+        and cache.write_policy.allocate_on_write
+        and not any(cache._sets)
     )
 
 
@@ -111,8 +129,11 @@ def can_replay(organization: CacheOrganization) -> bool:
     Requirements: the organization exposes a replay plan (unified or
     split), and every member cache is a plain :class:`Cache` with LRU,
     FIFO or random replacement, demand fetching, and either copy-back or
-    write-through without a combining buffer.  Anything else (prefetching,
-    LFU, write combining, sector caches) takes the generic engine.
+    write-through without a combining buffer.  Members carrying a miss
+    path must also be direct-mapped LRU or FIFO, allocate on writes and
+    start cold.  Anything else (prefetching, LFU, write combining, sector
+    caches, set-associative primaries with mechanisms) takes the generic
+    engine.
     """
     plan = organization.replay_plan()
     if plan is None:
@@ -141,14 +162,18 @@ def lru_demand_replay(
 
     Kernel-selection matrix (per member cache):
 
-    ========  ===========================  =================================
-    policy    starting state               path
-    ========  ===========================  =================================
-    LRU       cold, allocate-on-write      vectorized stack-distance replay
-    LRU       warm start or no-allocate    tight dict loop
-    FIFO      any                          dict loop, no reorder on hit
-    RANDOM    any                          dict loop, cache's own per-set rngs
-    ========  ===========================  =================================
+    ==============  ===========================  ===========================
+    policy          starting state               path
+    ==============  ===========================  ===========================
+    LRU             cold, allocate-on-write      vectorized stack-distance
+                                                 replay
+    LRU             warm start or no-allocate    tight dict loop
+    FIFO            any                          dict loop, no reorder on hit
+    RANDOM          any                          dict loop, cache's own
+                                                 per-set rngs
+    LRU/FIFO, 1-way cold, allocate-on-write,     miss-stream replay: loop
+                    miss path attached           over misses, real chain
+    ==============  ===========================  ===========================
 
     Returns:
         The number of measured (post-warmup) trace references.
@@ -176,66 +201,90 @@ def lru_demand_replay(
     if not single:
         member_of = np.asarray(routing, dtype=np.int8)[kinds]
 
-    for index, cache in enumerate(members):
-        policy = _policy_kind(cache)
-        if (
-            policy == "lru"
-            and cache.write_policy.allocate_on_write
-            and not any(cache._sets)
-        ):
-            bundle = compiled.memo(
-                (
-                    "replay",
-                    cut,
-                    None if single else (routing, index),
-                    cache.geometry.num_sets,
-                    purge_interval,
-                    cache.write_policy.is_copy_back,
-                ),
-                lambda: _build_replay_bundle(
-                    kinds,
-                    lines,
-                    positions,
-                    None if single else member_of == index,
-                    cache.geometry.num_sets,
-                    purge_positions,
-                    cache.write_policy.is_copy_back,
-                ),
-            )
-            if warmup == 0 and cache.geometry.ways < _CLIP:
-                _replay_member_presorted(cache, bundle)
+    chain = members[0].miss_path
+    if chain is not None:
+        stream = compiled.memo(
+            (
+                "miss-stream",
+                cut,
+                None if single else routing,
+                tuple(cache.geometry.num_sets for cache in members),
+                purge_interval,
+            ),
+            lambda: _build_miss_stream(
+                kinds,
+                lines,
+                positions,
+                member_of,
+                [cache.geometry.num_sets for cache in members],
+                purge_positions,
+            ),
+        )
+        _replay_miss_stream(
+            members, chain, stream, kinds, lines, positions, member_of,
+            purge_positions, warmup,
+        )
+    else:
+        for index, cache in enumerate(members):
+            policy = _policy_kind(cache)
+            if (
+                policy == "lru"
+                and cache.write_policy.allocate_on_write
+                and not any(cache._sets)
+            ):
+                bundle = compiled.memo(
+                    (
+                        "replay",
+                        cut,
+                        None if single else (routing, index),
+                        cache.geometry.num_sets,
+                        purge_interval,
+                        cache.write_policy.is_copy_back,
+                    ),
+                    lambda: _build_replay_bundle(
+                        kinds,
+                        lines,
+                        positions,
+                        None if single else member_of == index,
+                        cache.geometry.num_sets,
+                        purge_positions,
+                        cache.write_policy.is_copy_back,
+                    ),
+                )
+                if warmup == 0 and cache.geometry.ways < _CLIP:
+                    _replay_member_presorted(cache, bundle)
+                else:
+                    _replay_member_vectorized(cache, bundle, warmup)
+                continue
+            if single:
+                mkinds, mlines, mpositions = kinds, lines, positions
             else:
-                _replay_member_vectorized(cache, bundle, warmup)
-            continue
-        if single:
-            mkinds, mlines, mpositions = kinds, lines, positions
-        else:
-            mask = member_of == index
-            mkinds = kinds[mask]
-            mlines = lines[mask]
-            mpositions = positions[mask]
-        # Purges and the warmup reset happen between *trace* references;
-        # map them onto this member's line-reference stream.
-        events = [
-            (int(np.searchsorted(mpositions, p, side="left")), p, _PURGE)
-            for p in purge_positions
-        ]
-        if warmup:
-            events.append(
-                (int(np.searchsorted(mpositions, warmup, side="left")), warmup, _RESET)
-            )
-        events.sort()
-        if single and whole:
-            kind_list, line_list = compiled.as_lists()
-        else:
-            kind_list, line_list = mkinds.tolist(), mlines.tolist()
-        if policy == "lru":
-            _replay_member(cache, kind_list, line_list, events)
-        else:
-            rngs = (
-                [p._rng for p in cache._policies] if policy == "random" else None
-            )
-            _replay_member_queue(cache, kind_list, line_list, events, rngs)
+                mask = member_of == index
+                mkinds = kinds[mask]
+                mlines = lines[mask]
+                mpositions = positions[mask]
+            # Purges and the warmup reset happen between *trace* references;
+            # map them onto this member's line-reference stream.
+            events = [
+                (int(np.searchsorted(mpositions, p, side="left")), p, _PURGE)
+                for p in purge_positions
+            ]
+            if warmup:
+                events.append(
+                    (int(np.searchsorted(mpositions, warmup, side="left")), warmup, _RESET)
+                )
+            events.sort()
+            if single and whole:
+                kind_list, line_list = compiled.as_lists()
+            else:
+                kind_list, line_list = mkinds.tolist(), mlines.tolist()
+            if policy == "lru":
+                _replay_member(cache, kind_list, line_list, events)
+            else:
+                rngs = (
+                    [p._rng for p in cache._policies] if policy == "random" else None
+                )
+                _replay_member_queue(cache, kind_list, line_list, events, rngs)
 
     # Write-through accounting is per trace reference and independent of
     # cache state (no combining on the fast path), so it vectorizes over
@@ -732,6 +781,323 @@ def _replay_member_vectorized(cache: Cache, bundle: _ReplayBundle, warmup: int) 
         final_flags = res_flags[final_index][order]
         for line, flags in zip(final_lines.tolist(), final_flags.tolist()):
             sets[line & set_mask][line] = flags
+
+
+# -- the miss-stream replay path ---------------------------------------------
+
+
+class _MissStream:
+    """Hit/miss classification of a direct-mapped organization's stream.
+
+    A direct-mapped set always holds the line its previous reference
+    touched, so a reference hits iff that reference was to the same line
+    (within one purge epoch).  Layout: ``order`` stable-sorts the line
+    references by (epoch, flat set), where a split organization's data
+    sets follow its instruction sets; each (epoch, set) run is one
+    *segment*.  The ``miss_*`` arrays describe the classified misses in
+    trace order.
+    """
+
+    __slots__ = (
+        "order",         # sorted position -> line-reference index
+        "cum_data",      # data references before each sorted position
+        "cum_write",     # writes before each sorted position
+        "miss_index",    # line-reference index of each miss (ascending)
+        "miss_rank",     # its sorted position
+        "miss_set",      # its flat set
+        "miss_end",      # end of its segment (exclusive sorted position)
+        "miss_prev",     # sorted position of the segment's previous miss, or -1
+        "victim_data",   # a data reference lies in [miss_prev, miss_rank)
+        "victim_write",  # a write lies in [miss_prev, miss_rank)
+    )
+
+    def __init__(self, **fields) -> None:
+        for name, value in fields.items():
+            setattr(self, name, value)
+
+
+def _build_miss_stream(
+    kinds: np.ndarray,
+    lines: np.ndarray,
+    positions: np.ndarray,
+    member_of: np.ndarray | None,
+    num_sets: list[int],
+    purge_positions: range,
+) -> _MissStream:
+    n = len(lines)
+    flat = lines & (num_sets[0] - 1)
+    if member_of is not None:
+        flat = np.where(member_of == 0, flat, num_sets[0] + (lines & (num_sets[1] - 1)))
+    pp = np.asarray(purge_positions, dtype=np.int64)
+    key = flat
+    if len(pp):
+        key = np.searchsorted(pp, positions, side="right") * sum(num_sets) + flat
+    order = _stable_order(key)
+    sorted_key = key[order]
+    sorted_lines = lines[order]
+    sorted_kinds = kinds[order]
+
+    segment_start = np.ones(n, dtype=bool)
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=segment_start[1:])
+    miss = segment_start.copy()
+    miss[1:] |= sorted_lines[1:] != sorted_lines[:-1]
+
+    cum_data = np.zeros(n + 1, dtype=np.int64)
+    cum_write = np.zeros(n + 1, dtype=np.int64)
+    is_write = sorted_kinds == _WRITE
+    np.cumsum(is_write | (sorted_kinds == int(AccessKind.READ)), out=cum_data[1:])
+    np.cumsum(is_write, out=cum_write[1:])
+
+    rank = np.flatnonzero(miss)
+    starts = np.flatnonzero(segment_start)
+    ends = np.append(starts[1:], n)
+    end = ends[np.cumsum(segment_start)[rank] - 1]
+    prev = np.empty_like(rank)
+    prev[:1] = -1
+    prev[1:] = rank[:-1]
+    prev[segment_start[rank]] = -1
+    opened = np.maximum(prev, 0)
+    victim_data = (prev >= 0) & (cum_data[rank] > cum_data[opened])
+    victim_write = (prev >= 0) & (cum_write[rank] > cum_write[opened])
+
+    index = order[rank]
+    by_time = np.argsort(index)
+    return _MissStream(
+        order=order,
+        cum_data=cum_data,
+        cum_write=cum_write,
+        miss_index=index[by_time],
+        miss_rank=rank[by_time],
+        miss_set=flat[index[by_time]],
+        miss_end=end[by_time],
+        miss_prev=prev[by_time],
+        victim_data=victim_data[by_time],
+        victim_write=victim_write[by_time],
+    )
+
+
+def _replay_miss_stream(
+    members: tuple[Cache, ...],
+    chain,
+    stream: _MissStream,
+    kinds: np.ndarray,
+    lines: np.ndarray,
+    positions: np.ndarray,
+    member_of: np.ndarray | None,
+    purge_positions: range,
+    warmup: int,
+) -> None:
+    """Replay direct-mapped members sharing ``chain``, visiting misses only.
+
+    Hits never reach a mechanism, so the loop walks the classified misses,
+    purges and the warmup reset in trace order and drives the real chain
+    objects exactly as :meth:`Cache._reference_line` would:
+    ``service_miss`` first, then ``on_evict`` of the set's resident line,
+    whose flags are its fill's extra bits OR the flags of the references
+    inside its residency (a prefix-count range query).
+
+    An L2 back-invalidation is the one way a component changes a primary's
+    contents.  It reaches the loop through each member's ``invalidate``,
+    shadowed for the replay's duration: the line pushes with its flags so
+    far, its set empties (so the set's next classified miss evicts
+    nothing), and if the set's next reference is to the same line — a
+    classified hit — that reference becomes an injected miss, merged into
+    the event stream through a heap.
+    """
+    count = len(members)
+    num_sets = [cache.geometry.num_sets for cache in members]
+    bases = [0, num_sets[0]][:count]
+    set_member = [m for m in range(count) for _ in range(num_sets[m])]
+    total_sets = len(set_member)
+    masks = [n - 1 for n in num_sets]
+    offset_bits = members[0].geometry.offset_bits
+    copy_back = members[0].write_policy.is_copy_back
+    order, cum_data, cum_write = stream.order, stream.cum_data, stream.cum_write
+
+    index = stream.miss_index
+    miss_kinds = kinds[index]
+    miss_members = (
+        member_of[index] if member_of is not None else np.zeros(len(index), np.int8)
+    )
+    standard = (
+        np.where(stream.miss_prev >= 0, FLAG_REFERENCED, 0)
+        | np.where(stream.victim_data, FLAG_DATA, 0)
+        | np.where(stream.victim_write & copy_back, FLAG_DIRTY, 0)
+    )
+
+    # One event sequence in trace order: misses, purges, the warmup reset.
+    purge_at = np.searchsorted(positions, np.asarray(purge_positions, np.int64))
+    reset_at = int(np.searchsorted(positions, warmup)) if warmup else 0
+    keys = np.concatenate(
+        [
+            index * 4 + _MISS,
+            purge_at * 4 + _PURGE,
+            np.array([reset_at * 4 + _RESET] if warmup else [], np.int64),
+        ]
+    )
+    tags = np.concatenate(
+        [np.arange(len(index)), np.full(len(purge_at) + bool(warmup), -1)]
+    )
+    sequence = np.argsort(keys, kind="stable")
+    event_keys = keys[sequence].tolist()
+    event_misses = tags[sequence].tolist()
+
+    m_set = stream.miss_set.tolist()
+    m_line = lines[index].tolist()
+    m_kind = miss_kinds.tolist()
+    m_member = miss_members.tolist()
+    m_rank = stream.miss_rank.tolist()
+    m_end = stream.miss_end.tolist()
+    m_prev = stream.miss_prev.tolist()
+    m_standard = standard.tolist()
+
+    res_line = [-1] * total_sets
+    res_start = [0] * total_sets
+    res_end = [0] * total_sets
+    res_extra = [0] * total_sets
+    rpush = [0] * count
+    ppush = [0] * count
+    purges = [0] * count
+    pushed: list[list[int]] = [[] for _ in range(count)]
+    injected = [[0, 0, 0, 0] for _ in range(count)]
+    heap: list[tuple[int, int, int, int, int, int]] = []
+    now = 0  # line-reference index of the miss being serviced
+    service_miss = chain.service_miss
+    on_evict = chain.on_evict
+
+    def span_flags(start: int, stop: int) -> int:
+        """Flags ORed by the set's references in sorted [start, stop)."""
+        if start == stop:
+            return 0
+        flags = FLAG_REFERENCED
+        if cum_data[stop] != cum_data[start]:
+            flags |= FLAG_DATA
+        if copy_back and cum_write[stop] != cum_write[start]:
+            flags |= FLAG_DIRTY
+        return flags
+
+    def resident_flags(held: list[int]) -> list[int]:
+        """Flags of the resident lines of sets ``held`` at segment end."""
+        start = np.array([res_start[s] for s in held], dtype=np.int64)
+        stop = np.array([res_end[s] for s in held], dtype=np.int64)
+        flags = np.array([res_extra[s] for s in held], dtype=np.int64)
+        flags |= np.where(stop > start, FLAG_REFERENCED, 0)
+        flags |= np.where(cum_data[stop] > cum_data[start], FLAG_DATA, 0)
+        if copy_back:
+            flags |= np.where(cum_write[stop] > cum_write[start], FLAG_DIRTY, 0)
+        return flags.tolist()
+
+    def miss(at, s, line, kind, member, rank, end, prev, standard_flags):
+        nonlocal now
+        now = at
+        extra = service_miss(kind, line)
+        victim = res_line[s]
+        if victim >= 0:
+            start = res_start[s]
+            flags = res_extra[s] | (
+                standard_flags if start == prev else span_flags(start, rank)
+            )
+            res_line[s] = -1  # the engine pops the victim before offering it
+            rpush[member] += 1
+            if not on_evict(victim, flags):
+                pushed[member].append(flags)
+        res_line[s] = line
+        res_start[s] = rank
+        res_end[s] = end
+        res_extra[s] = extra
+
+    def inject(entry) -> None:
+        at, rank, s, line, member, end = entry
+        kind = int(kinds[at])
+        injected[member][kind] += 1
+        miss(at, s, line, kind, member, rank, end, -1, 0)
+
+    def invalidate(member: int, address: int) -> int | None:
+        line = address >> offset_bits
+        s = bases[member] + (line & masks[member])
+        if res_line[s] != line:
+            return None
+        start, end = res_start[s], res_end[s]
+        # The residency's references before the current miss stay in it.
+        split = start + int(np.searchsorted(order[start:end], now))
+        flags = res_extra[s] | span_flags(start, split)
+        res_line[s] = -1
+        rpush[member] += 1
+        pushed[member].append(flags)
+        if split < end:
+            after = int(order[split])
+            if lines[after] == line:
+                heapq.heappush(heap, (after, split, s, line, member, end))
+        return flags
+
+    for member, cache in enumerate(members):
+        cache.invalidate = functools.partial(invalidate, member)
+    try:
+        for key, j in zip(event_keys, event_misses):
+            at = key >> 2
+            while heap and heap[0][0] < at:
+                inject(heapq.heappop(heap))
+            if j >= 0:
+                miss(
+                    at, m_set[j], m_line[j], m_kind[j], m_member[j],
+                    m_rank[j], m_end[j], m_prev[j], m_standard[j],
+                )
+            elif key & 3 == _PURGE:
+                held = [s for s in range(total_sets) if res_line[s] >= 0]
+                for s, flags in zip(held, resident_flags(held)):
+                    ppush[set_member[s]] += 1
+                    pushed[set_member[s]].append(flags)
+                    res_line[s] = -1
+                for member in range(count):
+                    purges[member] += 1
+                chain.purge()
+            else:
+                for counters in (rpush, ppush, purges):
+                    counters[:] = [0] * count
+                for member in range(count):
+                    pushed[member].clear()
+                    injected[member][:] = [0, 0, 0, 0]
+                    members[member].reset_statistics()
+                chain.reset_statistics()
+        while heap:
+            inject(heapq.heappop(heap))
+    finally:
+        for cache in members:
+            del cache.invalidate
+
+    # References and classified misses are whole-array tallies over the
+    # measured region; everything else came out of the loop.
+    measured = index >= reset_at
+    slot = kinds[reset_at:].astype(np.int64)
+    if member_of is not None:
+        slot += 4 * member_of[reset_at:]
+    ref_counts = np.bincount(slot, minlength=4 * count).tolist()
+    miss_counts = np.bincount(
+        (4 * miss_members.astype(np.int64) + miss_kinds)[measured], minlength=4 * count
+    ).tolist()
+    for member, cache in enumerate(members):
+        stats = cache.stats
+        demand = 0
+        for kind, counts in enumerate(stats.counts_by_kind()):
+            misses = miss_counts[4 * member + kind] + injected[member][kind]
+            counts.references += ref_counts[4 * member + kind]
+            counts.misses += misses
+            demand += misses
+        data, dirty_data, dirty = _push_tally(np.array(pushed[member], dtype=np.int64))
+        stats.demand_fetches += demand
+        stats.replacement_pushes += rpush[member]
+        stats.purge_pushes += ppush[member]
+        stats.data_pushes += data
+        stats.dirty_data_pushes += dirty_data
+        stats.dirty_pushes += dirty
+        stats.purges += purges[member]
+        if purges[member]:
+            cache._last_write_word = -1
+
+    held = [s for s in range(total_sets) if res_line[s] >= 0]
+    for s, flags in zip(held, resident_flags(held)):
+        member = set_member[s]
+        members[member]._sets[s - bases[member]][res_line[s]] = flags
 
 
 # -- the dict-loop replay paths ----------------------------------------------

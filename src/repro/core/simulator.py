@@ -212,7 +212,9 @@ def simulate(
         raise ValueError(
             "organization does not qualify for the specialized replay kernel "
             "(requires LRU, FIFO or random replacement, demand fetch, no "
-            "write combining; see repro.core.kernels.can_replay)"
+            "write combining, and with a miss path a cold direct-mapped "
+            "LRU or FIFO primary that allocates on writes; see "
+            "repro.core.kernels.can_replay)"
         )
 
     length = len(trace) if limit is None else min(limit, len(trace))

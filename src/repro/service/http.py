@@ -132,6 +132,15 @@ class ServiceServer:
             # masse on shutdown, and ending normally here keeps asyncio's
             # stream machinery from logging the cancellations as errors.
             try:
+                # A worker process forked while this connection was open
+                # holds a copy of its fd, so close() alone sends no FIN
+                # and an SSE client would wait for EOF forever.  Shutting
+                # down the write side ends the stream whoever holds the fd.
+                if writer.can_write_eof():
+                    writer.write_eof()
+            except (Exception, asyncio.CancelledError):
+                pass
+            try:
                 writer.close()
                 await writer.wait_closed()
             except (Exception, asyncio.CancelledError):

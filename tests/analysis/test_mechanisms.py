@@ -1,7 +1,10 @@
 """Tests for the miss-path mechanism study driver."""
 
+import dataclasses
+
 import pytest
 
+from repro.analysis import mechanisms
 from repro.analysis.mechanisms import (
     DEFAULT_VARIANTS,
     MechanismStudyResult,
@@ -81,6 +84,36 @@ class TestMechanismStudy:
                     ("vc", MechanismConfig(victim_entries=4)),
                 ],
             )
+
+
+class TestStudyOracle:
+    def test_every_cell_matches_the_generic_engine(self, monkeypatch):
+        # The study's direct-mapped cells take the kernel's miss-stream
+        # replay; each must equal its job re-run on the reference engine.
+        # The mix runs long enough to cross purge boundaries.
+        seen = []
+        run_campaign = mechanisms.run_campaign
+
+        def recording_run_campaign(cells, **kwargs):
+            seen.extend(cells)
+            return run_campaign(cells, **kwargs)
+
+        monkeypatch.setattr(mechanisms, "run_campaign", recording_run_campaign)
+        study = mechanism_study(
+            workloads=["ZGREP", "Z8000 - Assorted"], size=1024, length=45_000,
+            workers=1, cache=False,
+        )
+        reports = {
+            f"{row.workload}/{name}": report
+            for row in study.rows
+            for name, report in [("baseline", row.baseline), *row.variants.items()]
+        }
+        assert len(seen) == len(reports) == 14
+        for cell in seen:
+            oracle = dataclasses.replace(cell.job, engine="generic").run(
+                cell.trace.build()
+            )
+            assert reports[cell.label] == oracle, cell.label
 
 
 class TestMechanismCacheKeys:

@@ -6,7 +6,10 @@ so the bytes on the wire are the same ones ``repro-cachesim campaign
 --remote`` would see.
 """
 
+import os
+import signal
 import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
@@ -249,3 +252,36 @@ class TestSampledCampaigns:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(document)
             assert excinfo.value.status == 400
+
+
+class TestForkedSockets:
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork + threads
+    def test_sse_stream_ends_while_a_forked_child_holds_the_socket(self, tmp_path):
+        # PoolBackend forks its workers lazily (first cell, pool rebuild),
+        # so a worker can inherit an open SSE connection's fd.  Closing
+        # the server's copy then sends no FIN; the stream must still end.
+        subscribed = threading.Event()
+        children = []
+
+        def forking_run(cell):
+            subscribed.wait(10)
+            pid = os.fork()
+            if pid == 0:  # the child just holds every inherited fd
+                time.sleep(60)
+                os._exit(0)
+            children.append(pid)
+            return fake_run(cell)
+
+        try:
+            with make_server(tmp_path, runner=forking_run) as server:
+                client = ServiceClient(server.url, timeout=10)
+                start = time.monotonic()
+                final = client.run(
+                    make_cells(1), on_event=lambda event: subscribed.set()
+                )
+                assert final["status"] == "done"
+                assert time.monotonic() - start < 10
+        finally:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
