@@ -6,21 +6,25 @@ dozens of traces across dozens of configurations (49 traces x 12 sizes for
 Table 1 alone).  Every cell is independent, so the natural execution model
 is a process pool:
 
-* :func:`run_campaign` takes an iterable of
-  :class:`~repro.core.jobs.CampaignCell` and executes them across a
-  ``ProcessPoolExecutor``.  The worker count comes from ``os.cpu_count()``,
-  overridable with the ``REPRO_WORKERS`` environment variable (or the
-  ``workers=`` argument); ``REPRO_WORKERS=1`` falls back to plain
-  in-process serial execution, which is what you want under a debugger.
+* :func:`run_campaign` runs an iterable of
+  :class:`~repro.core.jobs.CampaignCell` on the campaign service's
+  execution core (:class:`~repro.service.scheduler.Scheduler`), driven
+  synchronously on a private event loop.  The worker count comes from
+  ``os.cpu_count()``, overridable with ``REPRO_WORKERS`` (or
+  ``workers=``); one worker runs cells in-process, which is what you
+  want under a debugger, and more run them on a process pool.
 * Results are merged **in submission order**, so a campaign's output is
   bit-identical no matter how many workers ran it or in which order the
-  cells finished.
+  cells finished.  A cell listed twice runs once; its twin is reported
+  as cached.
 * Finished cells are memoized in an on-disk :class:`ResultCache` keyed by
   a content hash of (trace identity, configuration, length, purge
   interval) — see :func:`repro.core.jobs.cell_key`.  Re-running a
   benchmark or experiment skips every already-simulated cell.  The cache
   directory comes from ``REPRO_CACHE_DIR`` (or the ``cache=`` argument);
-  with neither set, caching is off.
+  with neither set, caching is off.  With a cache, runs that share its
+  directory claim each cell through ``.claim`` files, so concurrent
+  campaigns never simulate one cell twice.
 * Large traces are best shipped as ``TraceSpec.file`` cells pointing at a
   version-2 ``.rtrc`` file: each worker memory-maps the array sections
   read-only (:func:`repro.trace.io.read_binary_trace` with ``mmap=True``),
@@ -37,26 +41,18 @@ therefore degrades gracefully instead of failing all-or-nothing:
   so a re-run only re-executes the failures.  Pass
   ``raise_on_error=True`` to restore strict behavior (a
   :class:`CampaignError` after all cells have been collected).
-* **Retries** — transient failures (``OSError``, a broken process pool)
-  are retried with capped exponential backoff; ``REPRO_RETRIES`` /
-  ``retries=`` bounds the retry count, ``REPRO_RETRY_BACKOFF`` /
-  ``backoff=`` scales the delay.
-* **Timeouts** — with ``REPRO_CELL_TIMEOUT`` / ``timeout=`` set, a cell
-  whose worker runs longer than the limit is recorded as a failed
-  outcome (error type ``TimeoutError``) instead of hanging the campaign;
-  the stuck workers are terminated and the remaining cells finish
-  serially.  (Timeouts are enforced in pool mode only — a serial
-  in-process cell cannot be preempted.)
-* **Broken pools** — if the process pool dies (a worker was OOM-killed,
-  for example), the cells still pending are re-run serially in the main
-  process rather than crashing the campaign.
-* **Observability** — results are collected as they complete, so the
-  ``progress`` callback genuinely streams (still in submission order),
-  and every lifecycle step can be appended to a JSONL event log
-  (:class:`EventLog`, ``events=`` / ``REPRO_EVENT_LOG``):
-  ``campaign_started``, ``trace_store_write`` / ``trace_store_hit``
-  (shared trace-store priming, see below), ``cell_finished``,
-  ``cell_retried``, ``cell_failed``, ``campaign_finished``.
+* **Retries and timeouts** — the scheduler retries transient failures
+  (``REPRO_RETRIES`` / ``retries=``, ``REPRO_RETRY_BACKOFF`` /
+  ``backoff=``) and fails a pool cell that outlives ``REPRO_CELL_TIMEOUT``
+  / ``timeout=`` with ``TimeoutError``; see ``docs/campaign.md``.  A cell
+  whose worker keeps dying runs once more in-process.
+* **Observability** — the ``progress`` callback streams in submission
+  order as outcomes become known, and every lifecycle step can be
+  appended to a JSONL event log (:class:`EventLog`, ``events=`` /
+  ``REPRO_EVENT_LOG``): ``campaign_started``, ``trace_store_write`` /
+  ``trace_store_hit`` (shared trace-store priming, see below),
+  ``cell_finished``, ``cell_retried``, ``cell_failed``,
+  ``campaign_finished``.
 * **Shared trace store** — with ``REPRO_TRACE_STORE=<dir>`` (or
   ``--trace-store`` on the CLI) the parent process generates every
   distinct catalog trace referenced by the pending cells exactly once,
@@ -72,15 +68,16 @@ time, references/second, and failure/retry counts per campaign, and
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import json
 import os
 import pickle
 import tempfile
 import time
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core.jobs import CampaignCell, CellError, CellResult, cell_key, run_cell
@@ -99,29 +96,8 @@ __all__ = [
 WORKERS_ENV = "REPRO_WORKERS"
 #: Environment variable naming the default result-cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Environment variable bounding transient-failure retries per cell.
-RETRIES_ENV = "REPRO_RETRIES"
-#: Environment variable scaling the retry backoff (seconds; 0 disables).
-BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
-#: Environment variable setting the per-cell timeout (seconds; unset = none).
-CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
 #: Environment variable naming the default JSONL event-log path.
 EVENT_LOG_ENV = "REPRO_EVENT_LOG"
-
-#: Default transient-failure retries per cell.
-DEFAULT_RETRIES = 2
-#: Default backoff base in seconds (attempt n sleeps ``base * 2**(n-1)``).
-DEFAULT_BACKOFF = 0.1
-#: Ceiling on a single backoff sleep, seconds.
-BACKOFF_CAP = 5.0
-
-#: Exception types treated as transient (worth retrying).  ``OSError``
-#: covers the resource-exhaustion family (EMFILE, ENOMEM, flaky NFS);
-#: :class:`BrokenProcessPool` is the pool itself dying under a cell.
-TRANSIENT_EXCEPTIONS = (OSError, BrokenProcessPool)
-
-#: Poll granularity of the pool-mode timeout watchdog, seconds.
-_WATCHDOG_TICK = 0.05
 
 _MISS = object()
 
@@ -144,26 +120,6 @@ def worker_count(workers: int | None = None) -> int:
         else:
             workers = os.cpu_count() or 1
     return max(1, workers)
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _env_float(name: str, default: float | None) -> float | None:
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 class ResultCache:
@@ -471,34 +427,6 @@ def _resolve_events(events) -> tuple[EventLog | None, bool]:
     return EventLog(events), True
 
 
-def _is_transient(exc: BaseException) -> bool:
-    """Whether a cell failure is worth retrying."""
-    return isinstance(exc, TRANSIENT_EXCEPTIONS)
-
-
-def _sampling_event_fields(sampling) -> dict:
-    """JSON-able event-log fields for a sampled cell (empty if exact)."""
-    if sampling is None:
-        return {}
-    return {
-        "sampling": {
-            "plan": sampling.plan,
-            "unit": sampling.unit,
-            "units_sampled": sampling.units_sampled,
-            "units_total": sampling.units_total,
-            "sampled_references": sampling.measured_references,
-            "replayed_references": sampling.replayed_references,
-            "total_references": sampling.total_references,
-            "calibration_rounds": sampling.calibration_rounds,
-            "target_met": sampling.target_met,
-            "estimates": [
-                {"value": e.value, "ci": [e.ci_low, e.ci_high]}
-                for e in sampling.estimates
-            ],
-        }
-    }
-
-
 def _wrap_sampled(cells: list[CampaignCell], sampling) -> list[CampaignCell]:
     """Wrap every cell's job in a :class:`SampledJob` carrying ``sampling``.
 
@@ -522,162 +450,7 @@ def _wrap_sampled(cells: list[CampaignCell], sampling) -> list[CampaignCell]:
     return wrapped
 
 
-@dataclass
-class _Flight:
-    """Book-keeping for one pending cell (queued, in a pool, or retrying)."""
-
-    index: int
-    cell: CampaignCell
-    key: str
-    attempts: int = 0
-    running_since: float | None = field(default=None, repr=False)
-
-
-class _Recorder:
-    """Shared completion path: outcome slot, cache write, events, progress.
-
-    Progress streams in submission order: the callback fires for outcome
-    *i* as soon as outcomes ``0..i`` are all known, which with
-    as-completed collection means long before the campaign ends.
-    Callback exceptions are swallowed so a broken progress bar can never
-    corrupt the merge — but the *first* one is surfaced as a one-time
-    ``callback_error`` event in the JSONL log, so a silently broken
-    progress consumer is at least diagnosable after the fact.
-    """
-
-    def __init__(
-        self,
-        outcomes: list[CellOutcome | None],
-        store: ResultCache | None,
-        log: EventLog | None,
-        progress: Callable[[CellOutcome], None] | None,
-    ) -> None:
-        self._outcomes = outcomes
-        self._store = store
-        self._log = log
-        self._progress = progress
-        self._next_emit = 0
-        self._callback_error_reported = False
-
-    def _advance(self) -> None:
-        while (
-            self._next_emit < len(self._outcomes)
-            and self._outcomes[self._next_emit] is not None
-        ):
-            outcome = self._outcomes[self._next_emit]
-            self._next_emit += 1
-            if self._progress is not None:
-                try:
-                    self._progress(outcome)
-                except Exception as exc:
-                    # A broken callback must not corrupt the merge, but it
-                    # must not vanish either: log the first failure once.
-                    if self._log is not None and not self._callback_error_reported:
-                        self._callback_error_reported = True
-                        self._log.emit(
-                            "callback_error",
-                            label=outcome.label,
-                            error=type(exc).__name__,
-                            message=str(exc),
-                        )
-
-    def cached(self, flight: _Flight, hit: CellResult) -> None:
-        sampling = getattr(hit, "sampling", None)
-        self._outcomes[flight.index] = CellOutcome(
-            cell=flight.cell,
-            value=hit.value,
-            references=hit.references,
-            wall_seconds=0.0,
-            cached=True,
-            key=flight.key,
-            sampling=sampling,
-        )
-        if self._log is not None:
-            self._log.emit(
-                "cell_finished",
-                label=flight.cell.label,
-                index=flight.index,
-                key=flight.key,
-                cached=True,
-                wall_seconds=0.0,
-                references=hit.references,
-                refs_per_second=0.0,
-                attempts=0,
-                **_sampling_event_fields(sampling),
-            )
-        self._advance()
-
-    def success(self, flight: _Flight, result: CellResult) -> None:
-        sampling = getattr(result, "sampling", None)
-        self._outcomes[flight.index] = CellOutcome(
-            cell=flight.cell,
-            value=result.value,
-            references=result.references,
-            wall_seconds=result.wall_seconds,
-            cached=False,
-            key=flight.key,
-            attempts=max(1, flight.attempts),
-            sampling=sampling,
-        )
-        if self._store is not None:
-            self._store.put(flight.key, result)
-        if self._log is not None:
-            self._log.emit(
-                "cell_finished",
-                label=flight.cell.label,
-                index=flight.index,
-                key=flight.key,
-                cached=False,
-                wall_seconds=result.wall_seconds,
-                references=result.references,
-                refs_per_second=(
-                    result.references / result.wall_seconds
-                    if result.wall_seconds > 0
-                    else 0.0
-                ),
-                attempts=max(1, flight.attempts),
-                **_sampling_event_fields(sampling),
-            )
-        self._advance()
-
-    def failure(self, flight: _Flight, error: CellError) -> None:
-        self._outcomes[flight.index] = CellOutcome(
-            cell=flight.cell,
-            value=None,
-            references=0,
-            wall_seconds=0.0,
-            cached=False,
-            key=flight.key,
-            error=error,
-            attempts=max(1, flight.attempts),
-        )
-        if self._log is not None:
-            self._log.emit(
-                "cell_failed",
-                label=flight.cell.label,
-                index=flight.index,
-                key=flight.key,
-                error=error.type,
-                message=error.message,
-                attempts=max(1, flight.attempts),
-            )
-        self._advance()
-
-    def retried(self, flight: _Flight, exc: BaseException, backoff: float) -> None:
-        if self._log is not None:
-            self._log.emit(
-                "cell_retried",
-                label=flight.cell.label,
-                index=flight.index,
-                key=flight.key,
-                error=type(exc).__name__,
-                message=str(exc),
-                attempt=flight.attempts,
-                backoff_seconds=backoff,
-            )
-
-
-def _prime_trace_store(pending: list[_Flight], log: EventLog | None) -> None:
+def _prime_trace_store(pending: list[CampaignCell], log: EventLog | None) -> None:
     """Generate each distinct catalog trace once, before the fan-out.
 
     With ``REPRO_TRACE_STORE`` set, N cells over one workload must cost one
@@ -700,8 +473,8 @@ def _prime_trace_store(pending: list[_Flight], log: EventLog | None) -> None:
     from .workloads.generator import trace_identity
 
     needed: dict[tuple[str, int | None], None] = {}
-    for flight in pending:
-        spec = flight.cell.trace
+    for cell in pending:
+        spec = cell.trace
         if spec.kind == "catalog":
             needed.setdefault((spec.name, spec.length), None)
         elif spec.kind == "mix":
@@ -733,152 +506,6 @@ def _prime_trace_store(pending: list[_Flight], log: EventLog | None) -> None:
                 path=str(store.path_for(key)),
                 wall_seconds=time.perf_counter() - started,
             )
-
-
-def _backoff_seconds(backoff: float, attempts: int) -> float:
-    """Capped exponential backoff before retry number ``attempts``."""
-    if backoff <= 0:
-        return 0.0
-    return min(BACKOFF_CAP, backoff * (2 ** (attempts - 1)))
-
-
-def _run_serial(
-    flights: list[_Flight],
-    runner: Callable[[CampaignCell], CellResult],
-    recorder: _Recorder,
-    retries: int,
-    backoff: float,
-) -> None:
-    """In-process execution with retry-on-transient-failure semantics."""
-    for flight in flights:
-        while True:
-            flight.attempts += 1
-            try:
-                result = runner(flight.cell)
-            except Exception as exc:
-                if _is_transient(exc) and flight.attempts <= retries:
-                    pause = _backoff_seconds(backoff, flight.attempts)
-                    recorder.retried(flight, exc, pause)
-                    if pause:
-                        time.sleep(pause)
-                    continue
-                recorder.failure(flight, CellError.from_exception(exc))
-                break
-            else:
-                recorder.success(flight, result)
-                break
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Forcibly stop a pool whose workers may be hung."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_pool(
-    pool: ProcessPoolExecutor,
-    flights: list[_Flight],
-    runner: Callable[[CampaignCell], CellResult],
-    recorder: _Recorder,
-    retries: int,
-    backoff: float,
-    timeout: float | None,
-    log: EventLog | None,
-) -> list[_Flight]:
-    """Collect pool futures as they complete.
-
-    Returns the flights that still need execution (serial fallback) after
-    a broken pool or a timeout kill; empty on a clean run.
-    """
-    in_flight: dict = {}
-    for flight in flights:
-        flight.attempts += 1
-        in_flight[pool.submit(runner, flight.cell)] = flight
-
-    broken = False
-    while in_flight:
-        tick = _WATCHDOG_TICK if timeout is not None else None
-        done, not_done = wait(
-            set(in_flight), timeout=tick, return_when=FIRST_COMPLETED
-        )
-        for future in done:
-            flight = in_flight.pop(future)
-            try:
-                result = future.result()
-            except BrokenProcessPool as exc:
-                # The pool died under this cell: everything unfinished
-                # (this cell included) falls back to serial execution.
-                if log is not None and not broken:
-                    log.emit(
-                        "pool_broken",
-                        message=str(exc) or type(exc).__name__,
-                        pending=len(in_flight) + 1,
-                    )
-                broken = True
-                fallback = [flight] + list(in_flight.values())
-                in_flight.clear()
-                return sorted(fallback, key=lambda f: f.index)
-            except Exception as exc:
-                if _is_transient(exc) and flight.attempts <= retries:
-                    pause = _backoff_seconds(backoff, flight.attempts)
-                    recorder.retried(flight, exc, pause)
-                    if pause:
-                        time.sleep(pause)
-                    flight.attempts += 1
-                    try:
-                        in_flight[pool.submit(runner, flight.cell)] = flight
-                    except Exception:
-                        # submit() on a dying pool: run it serially instead.
-                        flight.attempts -= 1
-                        return sorted(
-                            [flight] + list(in_flight.values()),
-                            key=lambda f: f.index,
-                        )
-                else:
-                    recorder.failure(flight, CellError.from_exception(exc))
-            else:
-                recorder.success(flight, result)
-
-        if timeout is not None and in_flight:
-            now = time.perf_counter()
-            hung = []
-            for future, flight in in_flight.items():
-                if future.running():
-                    if flight.running_since is None:
-                        flight.running_since = now
-                    elif now - flight.running_since > timeout:
-                        hung.append(future)
-            if hung:
-                for future in hung:
-                    flight = in_flight.pop(future)
-                    recorder.failure(
-                        flight,
-                        CellError(
-                            type="TimeoutError",
-                            message=(
-                                f"cell exceeded the {timeout:g}s per-cell "
-                                f"timeout ({CELL_TIMEOUT_ENV})"
-                            ),
-                            traceback="",
-                        ),
-                    )
-                if log is not None:
-                    log.emit(
-                        "pool_terminated",
-                        reason="cell_timeout",
-                        timed_out=len(hung),
-                        pending=len(in_flight),
-                    )
-                # The hung workers cannot be recovered individually;
-                # terminate the pool and finish the rest serially.
-                _terminate_pool(pool)
-                return sorted(in_flight.values(), key=lambda f: f.index)
-    return []
 
 
 def run_campaign(
@@ -917,11 +544,12 @@ def run_campaign(
         raise_on_error: raise :class:`CampaignError` after collection if
             any cell failed (successes are still cached first).
         retries: transient-failure retries per cell; defaults to
-            ``REPRO_RETRIES`` or :data:`DEFAULT_RETRIES`.
+            ``REPRO_RETRIES`` or 2.
         backoff: base backoff seconds between retries (capped exponential);
-            defaults to ``REPRO_RETRY_BACKOFF`` or :data:`DEFAULT_BACKOFF`.
-        timeout: per-cell wall-time limit in seconds, enforced in pool
-            mode; defaults to ``REPRO_CELL_TIMEOUT`` (unset = no limit).
+            defaults to ``REPRO_RETRY_BACKOFF`` or 0.1.
+        timeout: per-cell wall-time limit in seconds, enforced on the
+            process pool (not on in-process cells); defaults to
+            ``REPRO_CELL_TIMEOUT`` (unset = no limit).
         events: JSONL event log — an :class:`EventLog`, a path, or
             ``None`` to use ``REPRO_EVENT_LOG`` (no log if unset).
         runner: the per-cell execution function (the fault-injection seam
@@ -945,63 +573,107 @@ def run_campaign(
         CampaignError: with ``raise_on_error=True``, after all cells have
             been collected, if at least one failed.
     """
+    from .service.backends import InlineBackend, PoolBackend
+    from .service.scheduler import Scheduler, cell_event
+
     cells = list(cells)
     if sampling is not None:
         cells = _wrap_sampled(cells, sampling)
     count = worker_count(workers)
     store = _resolve_cache(cache)
-    retries = _env_int(RETRIES_ENV, DEFAULT_RETRIES) if retries is None else retries
-    backoff = _env_float(BACKOFF_ENV, DEFAULT_BACKOFF) if backoff is None else backoff
-    timeout = _env_float(CELL_TIMEOUT_ENV, None) if timeout is None else timeout
-    log, owns_log = _resolve_events(events)
     started = time.perf_counter()
+    keys = [cell_key(cell) for cell in cells]
+    hits = [store.get(key) if store is not None else _MISS for key in keys]
+    pending = [i for i, hit in enumerate(hits) if not isinstance(hit, CellResult)]
+    serial = count == 1 or len(pending) <= 1
+    scheduler = Scheduler(
+        InlineBackend(capacity=1, runner=runner, blocking=True)
+        if serial
+        else PoolBackend(min(count, len(pending)), runner=runner),
+        cache=store if store is not None else False,
+        retries=retries,
+        backoff=backoff,
+        timeout=timeout,
+        fallback=None if serial else InlineBackend(capacity=1, runner=runner),
+    )
+    log, owns_log = _resolve_events(events)
 
     outcomes: list[CellOutcome | None] = [None] * len(cells)
-    recorder = _Recorder(outcomes, store, log, progress)
-    pending: list[_Flight] = []
-    cached_hits: list[tuple[_Flight, CellResult]] = []
-    for index, cell in enumerate(cells):
-        key = cell_key(cell)
-        hit = store.get(key) if store is not None else _MISS
-        flight = _Flight(index=index, cell=cell, key=key)
-        if hit is not _MISS and isinstance(hit, CellResult):
-            cached_hits.append((flight, hit))
-        else:
-            pending.append(flight)
+    reported = 0
+    callback_failed = False
+
+    def settle(index: int, source: str, payload, attempts: int) -> None:
+        """Record one outcome; stream progress up to the first gap."""
+        nonlocal reported, callback_failed
+        cell, key = cells[index], keys[index]
+        event, fields = cell_event(index, cell, key, source, payload, attempts)
+        if log is not None:
+            log.emit(event, **fields)
+        ok = event == "cell_finished"
+        outcomes[index] = CellOutcome(
+            cell=cell,
+            value=payload.value if ok else None,
+            references=payload.references if ok else 0,
+            wall_seconds=fields["wall_seconds"] if ok else 0.0,
+            cached=ok and fields["cached"],
+            key=key,
+            error=None if ok else payload,
+            attempts=max(1, attempts),
+            sampling=payload.sampling if ok else None,
+        )
+        while (progress is not None and reported < len(outcomes)
+               and outcomes[reported] is not None):
+            outcome = outcomes[reported]
+            reported += 1
+            try:
+                progress(outcome)
+            except Exception as exc:
+                # A broken callback must not corrupt the merge, but it
+                # must not vanish either: log the first failure once.
+                if log is not None and not callback_failed:
+                    callback_failed = True
+                    log.emit(
+                        "callback_error",
+                        label=outcome.label,
+                        error=type(exc).__name__,
+                        message=str(exc),
+                    )
+
+    async def resolve(index: int) -> None:
+        emit = None
+        if log is not None:
+            emit = functools.partial(
+                log.emit, label=cells[index].label, index=index, key=keys[index]
+            )
+        settle(index, *await scheduler.resolve(cells[index], keys[index], emit))
+
+    async def execute() -> None:
+        await scheduler.start()
+        try:
+            await asyncio.gather(*(resolve(index) for index in pending))
+        finally:
+            await scheduler.close()
 
     try:
         if log is not None:
             log.emit(
                 "campaign_started",
                 cells=len(cells),
-                cached=len(cached_hits),
+                cached=len(cells) - len(pending),
                 pending=len(pending),
                 workers=count,
-                retries=retries,
-                timeout=timeout,
+                retries=scheduler.retries,
+                timeout=scheduler.timeout,
             )
-        for flight, hit in cached_hits:
-            recorder.cached(flight, hit)
-
+        for index, hit in enumerate(hits):
+            if isinstance(hit, CellResult):
+                settle(index, "cache", hit, 0)
         if pending:
-            _prime_trace_store(pending, log)
-            if count == 1 or len(pending) == 1:
-                _run_serial(pending, runner, recorder, retries, backoff)
-            else:
-                with ProcessPoolExecutor(
-                    max_workers=min(count, len(pending))
-                ) as pool:
-                    leftover = _run_pool(
-                        pool, pending, runner, recorder,
-                        retries, backoff, timeout, log,
-                    )
-                if leftover:
-                    if log is not None:
-                        log.emit("serial_fallback", cells=len(leftover))
-                    _run_serial(leftover, runner, recorder, retries, backoff)
+            _prime_trace_store([cells[index] for index in pending], log)
+            _run_private_loop(execute())
 
         result = CampaignResult(
-            outcomes=tuple(o for o in outcomes if o is not None),
+            outcomes=tuple(outcomes),
             wall_seconds=time.perf_counter() - started,
             workers=count,
         )
@@ -1024,3 +696,15 @@ def run_campaign(
     if raise_on_error and result.failed_cells:
         raise CampaignError(result)
     return result
+
+
+def _run_private_loop(coroutine) -> None:
+    """``asyncio.run`` — on a helper thread if this one already runs a
+    loop (a notebook, say), where ``asyncio.run`` refuses to start."""
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        asyncio.run(coroutine)
+        return
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        helper.submit(asyncio.run, coroutine).result()

@@ -4,7 +4,7 @@ The campaign runner (:mod:`repro.campaign`) fans trace x configuration
 cells out across worker processes and memoizes finished cells on disk.
 Both mechanisms need the *description* of a cell to be self-contained:
 
-* **picklable** — a cell is shipped to a ``ProcessPoolExecutor`` worker,
+* **picklable** — a cell is shipped to a worker process,
   which rebuilds the trace and the cache organization locally rather than
   serializing megabytes of reference stream per cell;
 * **content-hashable** — the on-disk result cache is keyed by a stable

@@ -3,19 +3,20 @@
 The scheduler never executes a cell itself; it awaits
 ``backend.run(cell)`` on whatever :class:`Backend` it was built with.
 A backend owns *where* cells run — the scheduler owns dedupe, caching,
-quotas, and event streams, so every backend gets those for free.
+retries, timeouts, quotas, and event streams, so every backend gets
+those for free.
 
 Three stdlib-only backends ship:
 
-* :class:`InlineBackend` — runs cells on threads inside the service
+* :class:`InlineBackend` — runs cells on threads inside the calling
   process.  Zero startup cost; the right choice for tests, debugging,
-  and tiny traces (the simulation kernels release little of the GIL, so
-  its parallelism is nominal).
-* :class:`PoolBackend` — a ``ProcessPoolExecutor``, i.e. exactly the
-  machinery :func:`repro.campaign.run_campaign` uses for local
-  campaigns, adapted to one-cell-at-a-time dispatch.  A worker crash
-  breaks the whole executor, so the backend replaces the pool and fails
-  only the cells that were in flight.
+  tiny traces, and a local campaign on one worker (the simulation
+  kernels release little of the GIL, so its parallelism is nominal).
+* :class:`PoolBackend` — a ``ProcessPoolExecutor`` with
+  one-cell-at-a-time dispatch; local campaigns on more than one worker
+  run on it too.  A worker crash breaks the whole executor, so the
+  backend replaces the pool and fails only the cells that were in
+  flight.
 * :class:`SubprocessFleetBackend` — N long-lived worker processes
   (``python -m repro.service.worker``) pulling cells over stdin/stdout
   pipes (length-prefixed pickle frames).  Workers are independent: one
@@ -26,7 +27,11 @@ All backends expose ``capacity`` (concurrent cells the scheduler should
 keep in flight), are started with ``await backend.start()`` and torn
 down with ``await backend.close()``.  A cell whose *execution vehicle*
 died (not the cell's own exception) raises :class:`BackendCrash`; the
-scheduler records it as a failed outcome rather than hanging.
+scheduler retries it and, if it keeps dying, records a failed outcome
+rather than hanging.  A backend whose ``preemptible`` flag is set kills
+a cell's vehicle when its ``run`` is cancelled, which is how the
+scheduler enforces the per-cell timeout; a sibling killed along with it
+raises :class:`CellPreempted` and is re-dispatched.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .worker import MAX_FRAME_BYTES
 __all__ = [
     "BackendCrash",
     "CellExecutionError",
+    "CellPreempted",
     "InlineBackend",
     "PoolBackend",
     "SubprocessFleetBackend",
@@ -60,6 +66,10 @@ class BackendCrash(RuntimeError):
     """The execution vehicle died under a cell (worker killed, pool broken)."""
 
 
+class CellPreempted(BackendCrash):
+    """The vehicle was killed on purpose, to stop another cell that hung."""
+
+
 class CellExecutionError(RuntimeError):
     """A cell raised inside a fleet worker; carries the structured error."""
 
@@ -69,18 +79,32 @@ class CellExecutionError(RuntimeError):
 
 
 class InlineBackend:
-    """Run cells on threads inside the service process (test/debug tier)."""
+    """Run cells inside the calling process (cannot preempt).
+
+    Cells run on threads, so the event loop stays responsive.  With
+    ``blocking=True`` a cell runs on the loop's own thread and blocks it
+    instead: only for a private loop that serves one campaign, as in
+    :func:`repro.campaign.run_campaign`, whose serial campaigns thereby
+    run wholly on the caller's thread — where a debugger expects them,
+    and without a second malloc arena holding memory the first freed.
+    """
 
     name = "inline"
+    preemptible = False
 
-    def __init__(self, capacity: int = 1, runner=run_cell) -> None:
+    def __init__(
+        self, capacity: int = 1, runner=run_cell, *, blocking: bool = False
+    ) -> None:
         self.capacity = max(1, capacity)
         self._runner = runner
+        self._blocking = blocking
 
     async def start(self) -> None:
         return None
 
     async def run(self, cell: CampaignCell) -> CellResult:
+        if self._blocking:
+            return self._runner(cell)
         return await asyncio.to_thread(self._runner, cell)
 
     async def close(self) -> None:
@@ -88,21 +112,26 @@ class InlineBackend:
 
 
 class PoolBackend:
-    """A ``ProcessPoolExecutor`` — ``run_campaign``'s pool, served async.
+    """A ``ProcessPoolExecutor``, one cell per ``run``.
 
     ``workers=None`` resolves exactly like the campaign runner
     (``REPRO_WORKERS``, then CPU count).  ``BrokenProcessPool`` takes
     down every in-flight future at once; each affected cell surfaces as
     :class:`BackendCrash` and the pool is rebuilt for subsequent cells.
+    A running cell cannot be withdrawn from a pool, so cancelling its
+    ``run`` terminates the pool's workers; the siblings that die with
+    them raise :class:`CellPreempted`.
     """
 
     name = "pool"
+    preemptible = True
 
     def __init__(self, workers: int | None = None, runner=run_cell) -> None:
         self.capacity = worker_count(workers)
         self._runner = runner
         self._pool: ProcessPoolExecutor | None = None
         self._generation = 0
+        self._terminated: set[int] = set()
 
     async def start(self) -> None:
         if self._pool is None:
@@ -113,22 +142,42 @@ class PoolBackend:
             await self.start()
         pool = self._pool
         generation = self._generation
+        future = pool.submit(self._runner, cell)
         try:
-            return await asyncio.wrap_future(pool.submit(self._runner, cell))
+            return await asyncio.wrap_future(future)
         except BrokenProcessPool as exc:
-            # First awaiter to notice swaps in a fresh pool; the rest see
-            # the generation already advanced and just re-raise.
-            if self._generation == generation:
-                self._generation += 1
-                self._pool = ProcessPoolExecutor(max_workers=self.capacity)
-                try:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
+            self._replace(pool, generation)
+            if generation in self._terminated:
+                raise CellPreempted(
+                    f"pool terminated under cell {cell.label!r} "
+                    "to stop a hung sibling"
+                ) from exc
             raise BackendCrash(
                 f"process pool broke under cell {cell.label!r}: "
                 f"{exc or type(exc).__name__}"
             ) from exc
+        except asyncio.CancelledError:
+            if not future.cancel() and not future.done():
+                self._replace(pool, generation, terminate=True)
+            raise
+
+    def _replace(self, pool, generation: int, *, terminate: bool = False) -> None:
+        """Swap in a fresh pool; only the first caller per generation does."""
+        if self._generation != generation:
+            return
+        self._generation += 1
+        self._pool = ProcessPoolExecutor(max_workers=self.capacity)
+        if terminate:
+            self._terminated.add(generation)
+            processes = getattr(pool, "_processes", None) or {}
+            for process in list(processes.values()):
+                process.terminate()
+        # No cancel_futures: every pending future of a dead pool fails
+        # with BrokenProcessPool, which its awaiter maps as above.
+        try:
+            pool.shutdown(wait=False)
+        except Exception:
+            pass
 
     async def close(self) -> None:
         if self._pool is not None:
@@ -185,6 +234,7 @@ class SubprocessFleetBackend:
     """
 
     name = "fleet"
+    preemptible = True
 
     def __init__(
         self,
@@ -198,7 +248,7 @@ class SubprocessFleetBackend:
         self._idle: asyncio.Queue[_FleetWorker] = asyncio.Queue()
         self._workers: list[_FleetWorker] = []
         self._closed = False
-        #: Workers replaced after a crash (observability/test hook).
+        #: Workers replaced after a crash or a kill (observability/test hook).
         self.respawns = 0
 
     async def _spawn(self) -> _FleetWorker:
@@ -238,20 +288,32 @@ class SubprocessFleetBackend:
         ) as exc:
             # The worker died (or garbled its pipe) under this cell:
             # retire it, spawn a replacement, fail just this cell.
-            self._workers.remove(worker)
-            await worker.stop()
-            if not self._closed:
-                self.respawns += 1
-                self._idle.put_nowait(await self._spawn())
+            await self._replace(worker)
             raise BackendCrash(
                 f"fleet worker died under cell {cell.label!r} "
                 f"(exit code {worker.process.returncode})"
             ) from exc
+        except asyncio.CancelledError:
+            # The cell may still be running: only killing its worker
+            # stops it, and the pipe is mid-frame anyway.
+            try:
+                worker.process.kill()
+            except ProcessLookupError:
+                pass
+            await self._replace(worker)
+            raise
         else:
             self._idle.put_nowait(worker)
         if status == "ok":
             return payload
         raise CellExecutionError(payload)
+
+    async def _replace(self, worker: _FleetWorker) -> None:
+        self._workers.remove(worker)
+        await worker.stop()
+        if not self._closed:
+            self.respawns += 1
+            self._idle.put_nowait(await self._spawn())
 
     async def close(self) -> None:
         self._closed = True

@@ -35,21 +35,32 @@ another campaign's in-flight execution).  Counting ``cell_finished``
 events with ``source == "run"`` across every campaign of every
 scheduler sharing a cache directory therefore counts *actual
 simulations* — the number the dedupe tests pin.
+
+The scheduler is also the one execution core: :meth:`Scheduler.resolve`
+takes a cell through the dedupe layers and, when it must run it, owns
+the failure policy both tiers share — retries of transient failures
+(``OSError``, :class:`~repro.service.backends.BackendCrash`) with capped
+exponential backoff (``REPRO_RETRIES``, ``REPRO_RETRY_BACKOFF``) and the
+per-cell timeout (``REPRO_CELL_TIMEOUT``) on backends that can kill the
+vehicle a hung cell runs on.  :func:`repro.campaign.run_campaign` is a
+synchronous wrapper over it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import os
+import socket
 import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..campaign import EventLog, ResultCache, _MISS
+from ..campaign import EventLog, ResultCache, _resolve_cache
 from ..core.jobs import CampaignCell, CellError, CellResult, cell_key
-from .backends import BackendCrash, CellExecutionError
+from .backends import BackendCrash, CellExecutionError, CellPreempted
 from .queue import FairShareQueue, QueueEntry, QuotaExceeded
 from .spec import summarize_sampling, summarize_value
 
@@ -58,6 +69,9 @@ __all__ = [
     "ACTIVE_ENV",
     "CLAIM_TIMEOUT_ENV",
     "POLL_ENV",
+    "RETRIES_ENV",
+    "BACKOFF_ENV",
+    "CELL_TIMEOUT_ENV",
     "CampaignState",
     "Scheduler",
     "QuotaExceeded",
@@ -72,9 +86,20 @@ CLAIM_TIMEOUT_ENV = "REPRO_SERVICE_CLAIM_TIMEOUT"
 #: Seconds between polls while waiting on a foreign claim (default 0.05).
 POLL_ENV = "REPRO_SERVICE_POLL"
 
+#: Transient-failure retries per cell (default 2).
+RETRIES_ENV = "REPRO_RETRIES"
+#: Retry backoff base in seconds (default 0.1; 0 disables).
+BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
+#: Per-cell running-time limit in seconds (unset = none).
+CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
+
 DEFAULT_ACTIVE = 4
 DEFAULT_CLAIM_TIMEOUT = 300.0
 DEFAULT_POLL = 0.05
+DEFAULT_RETRIES = 2
+#: Attempt n waits ``backoff * 2**(n-1)`` seconds, at most ``BACKOFF_CAP``.
+DEFAULT_BACKOFF = 0.1
+BACKOFF_CAP = 5.0
 
 #: Campaign lifecycle statuses.
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
@@ -82,29 +107,90 @@ CANCELLED = "cancelled"
 _TERMINAL = frozenset({DONE, FAILED, CANCELLED})
 
 
-def _env_number(name: str, default: float) -> float:
+def _env_number(name: str, default, kind=float):
     value = os.environ.get(name)
     if not value:
         return default
     try:
-        return float(value)
+        return kind(value)
     except ValueError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+        raise ValueError(
+            f"{name} must be {'an integer' if kind is int else 'a number'}, "
+            f"got {value!r}"
+        ) from None
+
+
+def _backoff_seconds(backoff: float, attempts: int) -> float:
+    """Capped exponential backoff before retry number ``attempts``."""
+    if backoff <= 0:
+        return 0.0
+    return min(BACKOFF_CAP, backoff * (2 ** (attempts - 1)))
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # exists, owned by another user
+    return True
+
+
+class _CellTimeout(Exception):
+    """A dispatch outlived the per-cell timeout and its vehicle was killed."""
+
+
+def cell_event(
+    index: int, cell: CampaignCell, key: str, source: str, payload, attempts: int
+) -> tuple[str, dict]:
+    """The ``cell_finished`` / ``cell_failed`` record of one settled cell.
+
+    Both tiers log settled cells through this one function; ``source`` is
+    how the cell was satisfied (``"run"``, ``"cache"`` or ``"shared"``).
+    """
+    if isinstance(payload, CellError):
+        return "cell_failed", {
+            "label": cell.label,
+            "index": index,
+            "key": key,
+            "error": payload.type,
+            "message": payload.message,
+            "attempts": attempts,
+        }
+    wall = payload.wall_seconds if source == "run" else 0.0
+    return "cell_finished", {
+        "label": cell.label,
+        "index": index,
+        "key": key,
+        "cached": source != "run",
+        "source": source,
+        "wall_seconds": wall,
+        "references": payload.references,
+        "refs_per_second": payload.references / wall if wall > 0 else 0.0,
+        "attempts": attempts,
+        **summarize_sampling(payload.sampling),
+    }
 
 
 class _CellClaims:
     """Atomic per-key claim files under the shared result-cache directory.
 
     ``try_claim`` either creates ``<dir>/<k:2>/<key>.claim`` exclusively
-    (we run the cell) or reports the age of the existing claim (someone
-    else is running it — poll the cache).  Claims are advisory: a stale
-    one is deleted and re-taken, so a crashed owner delays a key by at
-    most ``claim_timeout`` seconds, never forever.
+    (we run the cell) or finds it held (someone else is running it —
+    poll the cache).  A claim holds its owner's token, ``hostname pid
+    uuid``, and ``release`` removes only a claim that still holds ours.
+    Claims are advisory: an orphaned one is deleted and re-taken.  A
+    claim is orphaned once it is older than ``claim_timeout`` seconds, or
+    at once when it names a process on this host that no longer exists,
+    so a killed local run never stalls its rerun.
     """
 
     def __init__(self, directory: Path, timeout: float) -> None:
         self.directory = Path(directory)
         self.timeout = timeout
+        self.host = socket.gethostname()
+        self.token = f"{self.host} {os.getpid()} {uuid.uuid4().hex}"
 
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.claim"
@@ -116,24 +202,38 @@ class _CellClaims:
             try:
                 fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             except FileExistsError:
-                try:
-                    age = time.time() - path.stat().st_mtime
-                except OSError:
-                    continue  # released between open and stat: race again
-                if age <= self.timeout:
+                if not self._orphaned(path):
                     return False
-                try:  # orphaned claim: steal it
-                    path.unlink()
+                try:  # steal it (gone already: race again)
+                    path.unlink(missing_ok=True)
                 except OSError:
                     return False
             else:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(f"{os.getpid()} {time.time():.3f}\n")
+                    handle.write(self.token + "\n")
                 return True
 
-    def release(self, key: str) -> None:
+    def _orphaned(self, path: Path) -> bool:
         try:
-            self._path(key).unlink()
+            if time.time() - path.stat().st_mtime > self.timeout:
+                return True
+            owner = path.read_text(encoding="utf-8", errors="replace").split()
+        except FileNotFoundError:
+            return True  # released since the open
+        except OSError:
+            return False
+        return (
+            len(owner) == 3
+            and owner[0] == self.host
+            and owner[1].isdigit()
+            and not _pid_alive(int(owner[1]))
+        )
+
+    def release(self, key: str) -> None:
+        path = self._path(key)
+        try:
+            if path.read_text(encoding="utf-8").strip() == self.token:
+                path.unlink()
         except OSError:
             pass
 
@@ -199,8 +299,8 @@ class Scheduler:
             :mod:`repro.service.backends`.
         cache: shared result-cache directory (or a
             :class:`~repro.campaign.ResultCache`); ``None`` falls back to
-            ``REPRO_CACHE_DIR``, unset disables caching *and*
-            cross-process claims.
+            ``REPRO_CACHE_DIR``, and unset or ``False`` disables caching
+            *and* cross-process claims.
         quota: per-user outstanding-campaign quota
             (default ``REPRO_SERVICE_QUOTA``; unset = unlimited).
         max_active: campaigns run concurrently
@@ -210,25 +310,45 @@ class Scheduler:
             with a ``campaign`` field attached.
         claim_timeout / poll: cross-process claim staleness and cache
             poll interval, seconds.
+        retries / backoff: transient-failure retries per cell and the
+            backoff base in seconds (default ``REPRO_RETRIES`` or 2,
+            ``REPRO_RETRY_BACKOFF`` or 0.1).
+        timeout: per-cell running-time limit in seconds (default
+            ``REPRO_CELL_TIMEOUT``; unset = none), enforced on backends
+            whose ``preemptible`` flag says cancelling ``run`` kills the
+            cell's vehicle.  An inline cell cannot be preempted.
+        fallback: a backend that runs a cell once more after its retries
+            on ``backend`` all ended in :class:`BackendCrash`.  Local
+            campaigns pass an in-process one, so a cell whose worker
+            keeps dying still finishes; the service passes none and never
+            runs a cell in its own process.
     """
 
     def __init__(
         self,
         backend,
         *,
-        cache: ResultCache | str | Path | None = None,
+        cache: ResultCache | str | Path | bool | None = None,
         quota: int | None = None,
         max_active: int | None = None,
         events: EventLog | str | Path | None = None,
         claim_timeout: float | None = None,
         poll: float | None = None,
+        retries: int | None = None,
+        backoff: float | None = None,
+        timeout: float | None = None,
+        fallback=None,
     ) -> None:
         self.backend = backend
-        if cache is None:
-            cache = os.environ.get("REPRO_CACHE_DIR") or None
-        if cache is not None and not isinstance(cache, ResultCache):
-            cache = ResultCache(cache)
-        self.cache = cache
+        self.fallback = fallback
+        self.cache = _resolve_cache(cache)
+        if retries is None:
+            retries = _env_number(RETRIES_ENV, DEFAULT_RETRIES, int)
+        if backoff is None:
+            backoff = _env_number(BACKOFF_ENV, DEFAULT_BACKOFF)
+        if timeout is None:
+            timeout = _env_number(CELL_TIMEOUT_ENV, None)
+        self.retries, self.backoff, self.timeout = retries, backoff, timeout
         if quota is None:
             env = os.environ.get(QUOTA_ENV)
             quota = int(env) if env else None
@@ -274,6 +394,8 @@ class Scheduler:
         """Start the backend and the queue-draining loop."""
         self._slots = asyncio.Semaphore(max(1, self.backend.capacity))
         await self.backend.start()
+        if self.fallback is not None:
+            await self.fallback.start()
         self._loop_task = asyncio.create_task(self._drain_queue())
 
     async def close(self) -> None:
@@ -290,6 +412,8 @@ class Scheduler:
         if self._campaign_tasks:
             await asyncio.gather(*self._campaign_tasks, return_exceptions=True)
         await self.backend.close()
+        if self.fallback is not None:
+            await self.fallback.close()
         if self.log is not None:
             self.log.close()
 
@@ -500,107 +624,66 @@ class Scheduler:
         self, state: CampaignState, index: int, cell: CampaignCell
     ) -> None:
         key = cell_key(cell)
-        source, payload = await self._obtain(cell, key)
-        if isinstance(payload, CellError):
-            state.outcomes[index] = {
-                "label": cell.label,
-                "index": index,
-                "key": key,
-                "ok": False,
-                "source": source,
-                "error": payload.type,
-                "message": payload.message,
-            }
-            self._emit(
-                state,
-                "cell_failed",
-                label=cell.label,
-                index=index,
-                key=key,
-                error=payload.type,
-                message=payload.message,
-                attempts=1,
-            )
-            return
-        result: CellResult = payload
-        state.outcomes[index] = {
-            "label": cell.label,
-            "index": index,
-            "key": key,
-            "ok": True,
-            "source": source,
-            "cached": source != "run",
-            "references": result.references,
-            "wall_seconds": result.wall_seconds if source == "run" else 0.0,
-            "value": summarize_value(result.value),
-            **summarize_sampling(result.sampling),
-        }
-        self._emit(
-            state,
-            "cell_finished",
-            label=cell.label,
-            index=index,
-            key=key,
-            cached=source != "run",
-            source=source,
-            wall_seconds=result.wall_seconds if source == "run" else 0.0,
-            references=result.references,
-            **summarize_sampling(result.sampling),
-            refs_per_second=(
-                result.references / result.wall_seconds
-                if source == "run" and result.wall_seconds > 0
-                else 0.0
-            ),
-            attempts=1 if source == "run" else 0,
+        emit = functools.partial(
+            self._emit, state, label=cell.label, index=index, key=key
         )
+        source, payload, attempts = await self.resolve(cell, key, emit)
+        event, fields = cell_event(index, cell, key, source, payload, attempts)
+        outcome = {"label": cell.label, "index": index, "key": key,
+                   "ok": event == "cell_finished", "source": source}
+        if isinstance(payload, CellError):
+            outcome.update(error=payload.type, message=payload.message)
+        else:
+            outcome.update(
+                cached=fields["cached"],
+                references=payload.references,
+                wall_seconds=fields["wall_seconds"],
+                value=summarize_value(payload.value),
+                **summarize_sampling(payload.sampling),
+            )
+        state.outcomes[index] = outcome
+        self._emit(state, event, **fields)
 
-    async def _obtain(self, cell: CampaignCell, key: str):
-        """Resolve one cell key to ``(source, CellResult | CellError)``.
+    async def resolve(self, cell: CampaignCell, key: str, emit=None):
+        """Settle one cell: ``(source, CellResult | CellError, attempts)``.
 
         Order of escalation: result cache → in-flight future → foreign
-        claim (poll the cache) → execute on the backend.
+        claim (poll the cache) → execute on the backend.  ``attempts`` is
+        0 unless this call executed the cell.  ``emit(event, **fields)``,
+        when given, receives the execution events of a cell this call
+        runs: ``cell_retried``, ``pool_terminated`` and
+        ``serial_fallback``.
         """
         while True:
             if self.cache is not None:
                 hit = self.cache.get(key)
-                if hit is not _MISS and isinstance(hit, CellResult):
-                    return "cache", hit
+                if isinstance(hit, CellResult):
+                    return "cache", hit, 0
             future = self._inflight.get(key)
             if future is not None:
                 payload = await asyncio.shield(future)
-                return "shared", payload
+                return "shared", payload, 0
             if self.claims is not None and not self.claims.try_claim(key):
                 # Another process owns this key: poll until its result
                 # lands in the shared cache (or the claim goes stale).
                 await asyncio.sleep(self.poll)
                 continue
             try:
-                return "run", await self._execute(cell, key)
+                payload, attempts = await self._execute(
+                    cell, key, emit or _ignore
+                )
+                return "run", payload, attempts
             finally:
                 if self.claims is not None:
                     self.claims.release(key)
 
-    async def _execute(self, cell: CampaignCell, key: str):
-        future = asyncio.get_event_loop().create_future()
+    async def _execute(self, cell: CampaignCell, key: str, emit):
+        future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         try:
-            async with self._slots:
-                try:
-                    result = await self.backend.run(cell)
-                except CellExecutionError as exc:
-                    payload = exc.error
-                except BackendCrash as exc:
-                    payload = CellError(
-                        type="BackendCrash", message=str(exc), traceback=""
-                    )
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    payload = CellError.from_exception(exc)
-                else:
-                    payload = result
-                    if self.cache is not None:
-                        self.cache.put(key, result)
+            payload, attempts = await self._attempt(cell, emit)
+            if self.cache is not None and isinstance(payload, CellResult):
+                self.cache.put(key, payload)
         except BaseException as exc:
             if not future.done():
                 future.set_exception(exc)
@@ -610,4 +693,71 @@ class Scheduler:
         finally:
             self._inflight.pop(key, None)
         future.set_result(payload)
-        return payload
+        return payload, attempts
+
+    async def _attempt(self, cell: CampaignCell, emit):
+        """Run a cell until it settles: retries, timeout, fallback."""
+        backend, attempts = self.backend, 0
+        while True:
+            attempts += 1
+            try:
+                async with self._slots:
+                    return await self._dispatch(backend, cell), attempts
+            except CellPreempted:
+                # Killed to stop a sibling's hung cell: not this cell's
+                # attempt, so it is re-dispatched free of charge.
+                attempts -= 1
+                continue
+            except _CellTimeout:
+                emit("pool_terminated", reason="cell_timeout",
+                     backend=backend.name, timeout=self.timeout)
+                return CellError(
+                    type="TimeoutError",
+                    message=(
+                        f"cell exceeded the {self.timeout:g}s per-cell "
+                        f"timeout ({CELL_TIMEOUT_ENV})"
+                    ),
+                    traceback="",
+                ), attempts
+            except CellExecutionError as exc:
+                # A fleet worker reports the cell's exception by name only,
+                # so it is never treated as transient.
+                return exc.error, attempts
+            except Exception as exc:
+                error = CellError.from_exception(exc)
+                if not isinstance(exc, (OSError, BackendCrash)):
+                    return error, attempts
+                if attempts <= self.retries:
+                    pause = _backoff_seconds(self.backoff, attempts)
+                    emit("cell_retried", error=error.type,
+                         message=error.message, attempt=attempts,
+                         backoff_seconds=pause)
+                    if pause:
+                        await asyncio.sleep(pause)
+                    continue
+                if (isinstance(exc, BackendCrash) and self.fallback is not None
+                        and backend is not self.fallback):
+                    emit("serial_fallback", attempts=attempts)
+                    backend = self.fallback
+                    continue
+                return error, attempts
+
+    async def _dispatch(self, backend, cell: CampaignCell) -> CellResult:
+        """One execution, bounded by the timeout where ``backend`` can be."""
+        if self.timeout is None or not getattr(backend, "preemptible", False):
+            return await backend.run(cell)
+        run = asyncio.ensure_future(backend.run(cell))
+        try:
+            done, _ = await asyncio.wait({run}, timeout=self.timeout)
+        except asyncio.CancelledError:
+            run.cancel()
+            raise
+        if run not in done:
+            run.cancel()  # a preemptible backend kills the cell's vehicle
+            await asyncio.gather(run, return_exceptions=True)
+            raise _CellTimeout
+        return run.result()
+
+
+def _ignore(event: str, **fields) -> None:
+    return None

@@ -9,9 +9,11 @@ processes, and the fleet backend resolves them by dotted path
 Faults are marked in the cell *label* (the one field that never enters
 the cache key), same convention as ``tests/test_campaign_faults.py``:
 ``CRASH`` kills the hosting process, ``FAIL`` raises inside the runner,
-``SLOW`` sleeps long enough to create overlap windows for dedupe tests.
+``SLOW`` sleeps long enough to create overlap windows for dedupe tests,
+``HANG`` never returns (for timeout tests).
 """
 
+import multiprocessing
 import os
 import time
 
@@ -47,3 +49,29 @@ def slow_real_run(cell):
     """Real execution, slowed — for dedupe tests that want true payloads."""
     time.sleep(0.1)
     return run_cell(cell)
+
+
+def hang_on_marker(cell):
+    """Hang far beyond any test timeout for cells marked ``HANG``."""
+    if "HANG" in cell.label:
+        time.sleep(600)
+    return fake_run(cell)
+
+
+def stall_in_pool_worker(cell):
+    """Inside a pool worker only: hang on ``HANG``, take 0.2 s over
+    ``BUSY``, and hang on ``ONCE`` until the file named by
+    ``REPRO_TEST_ONCE_FLAG`` exists (its first attempt creates it), so
+    ``ONCE`` is still on its first attempt when a ``HANG`` cell's timeout
+    terminates the pool."""
+    if multiprocessing.parent_process() is not None:
+        if "BUSY" in cell.label:
+            time.sleep(0.2)
+        if "ONCE" in cell.label:
+            flag = os.environ["REPRO_TEST_ONCE_FLAG"]
+            if not os.path.exists(flag):
+                with open(flag, "w", encoding="utf-8"):
+                    pass
+                time.sleep(600)
+        return hang_on_marker(cell)
+    return fake_run(cell)

@@ -2,15 +2,24 @@
 three dedupe layers (cache, in-flight sharing, cross-scheduler claims)."""
 
 import asyncio
+import os
+import socket
+import subprocess
+import sys
 
 import pytest
 
 from repro.core.jobs import CampaignCell, SimulateJob, StackSweepJob, TraceSpec
-from repro.service.backends import BackendCrash, InlineBackend
+from repro.service.backends import (
+    BackendCrash,
+    InlineBackend,
+    PoolBackend,
+    SubprocessFleetBackend,
+)
 from repro.service.queue import QuotaExceeded
-from repro.service.scheduler import Scheduler
+from repro.service.scheduler import Scheduler, _CellClaims
 
-from .helpers import fail_on_marker, fake_run, slow_fake_run
+from .helpers import fail_on_marker, fake_run, slow_fake_run, stall_in_pool_worker
 
 LENGTH = 4_000
 
@@ -377,3 +386,138 @@ class TestCancellation:
         state = asyncio.run(body())
         assert state.status == "done"
         assert all(e["event"] != "campaign_cancelled" for e in state.events)
+
+
+def labelled_cells(*labels):
+    return [
+        CampaignCell(
+            label,
+            TraceSpec.catalog("ZGREP", LENGTH + 50 + i),
+            StackSweepJob(sizes=(512,)),
+        )
+        for i, label in enumerate(labels)
+    ]
+
+
+def run_one_campaign(backend, cells, cache, **options):
+    async def body():
+        scheduler = Scheduler(backend, cache=cache, **options)
+        await scheduler.start()
+        try:
+            return await run_to_done(scheduler, cells)
+        finally:
+            await scheduler.close()
+
+    return asyncio.run(body())
+
+
+def events_of(state, kind):
+    return [e for e in state.events if e["event"] == kind]
+
+
+class TestRetriesAndTimeouts:
+    def test_transient_failure_is_retried(self, tmp_path):
+        calls = []
+
+        def flaky(cell):  # inline backend: closures are fine
+            calls.append(cell.label)
+            if len(calls) == 1:
+                raise OSError("injected transient failure")
+            return fake_run(cell)
+
+        state = run_one_campaign(
+            InlineBackend(runner=flaky), make_cells(1), tmp_path / "cache",
+            backoff=0,
+        )
+        assert state.status == "done"
+        assert state.outcomes[0]["ok"] is True
+        retried = events_of(state, "cell_retried")
+        assert len(retried) == 1
+        assert retried[0]["error"] == "OSError" and retried[0]["attempt"] == 1
+        assert events_of(state, "cell_finished")[0]["attempts"] == 2
+
+    def test_pool_cell_obeys_the_cell_timeout(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "0.5")
+        monkeypatch.setenv("REPRO_TEST_ONCE_FLAG", str(tmp_path / "once"))
+        # Two slots: HANG and BUSY start together; ONCE starts when BUSY
+        # ends, 0.2 s later, so HANG's limit runs out first.
+        cells = labelled_cells("HANG", "BUSY", "ONCE")
+        state = run_one_campaign(
+            PoolBackend(workers=2, runner=stall_in_pool_worker), cells,
+            tmp_path / "cache",
+        )
+        assert state.status == "done"
+        hung, busy, once = state.outcomes
+        assert hung["ok"] is False and hung["error"] == "TimeoutError"
+        assert "REPRO_CELL_TIMEOUT" in hung["message"]
+        assert busy["ok"] is True and once["ok"] is True
+        assert [e["label"] for e in events_of(state, "pool_terminated")] == ["HANG"]
+        # ONCE was running when the pool was terminated; it is re-run
+        # without being charged an attempt.
+        assert not events_of(state, "cell_retried")
+        assert all(e["attempts"] == 1 for e in events_of(state, "cell_finished"))
+
+    def test_fleet_cell_obeys_the_cell_timeout(self, tmp_path):
+        backend = SubprocessFleetBackend(
+            workers=1, runner="tests.service.helpers:hang_on_marker"
+        )
+        warm, ok, hang = labelled_cells("warm", "ok", "HANG")
+
+        async def body():
+            scheduler = Scheduler(backend, cache=tmp_path / "cache", timeout=0.5)
+            await scheduler.start()
+            try:
+                await backend.run(warm)  # worker start-up, outside the limit
+                return await run_to_done(scheduler, [ok, hang])
+            finally:
+                await scheduler.close()
+
+        state = asyncio.run(body())
+        assert state.status == "done"
+        assert state.outcomes[0]["ok"] is True
+        assert state.outcomes[1]["error"] == "TimeoutError"
+        assert backend.respawns == 1
+
+
+KEY = "ab" + "0" * 62
+
+
+class TestClaimOwnership:
+    """Claim files hold an owner token; no sleeps, no timing."""
+
+    def plant(self, claims, content):
+        path = claims._path(KEY)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content, encoding="utf-8")
+        return path
+
+    def test_claim_records_the_owner_token(self, tmp_path):
+        claims = _CellClaims(tmp_path, timeout=300)
+        assert claims.try_claim(KEY)
+        host, pid, _ = claims._path(KEY).read_text().split()
+        assert (host, pid) == (socket.gethostname(), str(os.getpid()))
+        claims.release(KEY)
+        assert not claims._path(KEY).exists()
+
+    def test_release_leaves_a_foreign_claim(self, tmp_path):
+        claims = _CellClaims(tmp_path, timeout=300)
+        path = self.plant(claims, "elsewhere 1 feedface\n")
+        claims.release(KEY)
+        assert path.read_text() == "elsewhere 1 feedface\n"
+        assert not claims.try_claim(KEY)  # fresh and foreign: still held
+
+    def test_live_local_claim_is_held(self, tmp_path):
+        owner = _CellClaims(tmp_path, timeout=300)
+        other = _CellClaims(tmp_path, timeout=300)
+        assert owner.try_claim(KEY)
+        assert not other.try_claim(KEY)
+        other.release(KEY)
+        assert owner._path(KEY).read_text().strip() == owner.token
+
+    def test_dead_pid_claim_is_taken_on_the_first_try(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        claims = _CellClaims(tmp_path, timeout=300)
+        path = self.plant(claims, f"{claims.host} {child.pid} deadbeef\n")
+        assert claims.try_claim(KEY)
+        assert path.read_text().strip() == claims.token

@@ -1,7 +1,9 @@
 """Tests for the campaign runner: parallel execution, deterministic
 merging, and the on-disk result cache."""
 
+import asyncio
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -324,6 +326,40 @@ class TestRunCampaign:
     def test_results_are_picklable(self):
         result = run_campaign(small_cells()[:1], workers=1, cache=False)
         assert pickle.loads(pickle.dumps(result)).values() == result.values()
+
+    def test_a_duplicated_cell_runs_once(self, tmp_path):
+        calls = []
+
+        def counting(cell):  # serial mode: closures are fine
+            calls.append(cell.label)
+            return run_cell(cell)
+
+        cell = small_cells()[0]
+        result = run_campaign(
+            [cell, cell], workers=1, cache=tmp_path, runner=counting
+        )
+        assert len(calls) == 1
+        assert result.values()[0] == result.values()[1]
+        assert result.simulated_cells == 1
+        twin = result.outcomes[1]
+        assert twin.cached and twin.wall_seconds == 0.0
+        assert not list(tmp_path.rglob("*.claim"))
+
+    def test_serial_cells_run_on_the_calling_thread(self):
+        threads = []
+
+        def recording(cell):
+            threads.append(threading.get_ident())
+            return run_cell(cell)
+
+        run_campaign(small_cells()[:2], workers=1, cache=False, runner=recording)
+        assert threads == [threading.get_ident()] * 2
+
+    def test_runs_inside_a_running_event_loop(self):
+        async def body():
+            return run_campaign(small_cells()[:1], workers=1, cache=False)
+
+        assert asyncio.run(body()).failed_cells == 0
 
 
 class TestExperimentEquivalence:
