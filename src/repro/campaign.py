@@ -451,15 +451,18 @@ def _wrap_sampled(cells: list[CampaignCell], sampling) -> list[CampaignCell]:
 
 
 def _prime_trace_store(pending: list[CampaignCell], log: EventLog | None) -> None:
-    """Generate each distinct catalog trace once, before the fan-out.
+    """Make sure each distinct catalog trace is in the store, before the fan-out.
 
     With ``REPRO_TRACE_STORE`` set, N cells over one workload must cost one
-    generation, not N: the parent resolves every distinct catalog
-    ``(name, length)`` referenced by the pending cells through the shared
-    :class:`~repro.trace.store.TraceStore` up front, so by the time workers
-    build their traces every store lookup is a hit and they merely
-    memory-map the parent's file.  Emits one ``trace_store_write`` (freshly
-    generated) or ``trace_store_hit`` (already stored) event per trace.
+    generation, not N: the parent checks every distinct catalog
+    ``(name, length)`` referenced by the pending cells against the shared
+    :class:`~repro.trace.store.TraceStore` up front, and generates, stores
+    and drops each one missing, so by the time cells build their traces
+    every store lookup is a hit and they merely memory-map the file.  The
+    parent keeps none of them: a cell loads its trace when it runs, and
+    the trace memo lets it go once later traces need the room.  Emits one
+    ``trace_store_write`` (freshly generated) or ``trace_store_hit``
+    (already stored) event per trace.
 
     Best-effort: a failure here (unwritable store, bad workload) is left
     for the owning cell to report as a normal cell failure.
@@ -470,7 +473,7 @@ def _prime_trace_store(pending: list[CampaignCell], log: EventLog | None) -> Non
     if store is None:
         return
     from .workloads import catalog
-    from .workloads.generator import trace_identity
+    from .workloads.generator import SyntheticWorkload, trace_identity
 
     needed: dict[tuple[str, int | None], None] = {}
     for cell in pending:
@@ -483,10 +486,16 @@ def _prime_trace_store(pending: list[CampaignCell], log: EventLog | None) -> Non
     for name, length in needed:
         try:
             resolved = length if length is not None else catalog.default_length(name)
-            key = store.key_for(trace_identity(catalog.get(name), resolved))
+            key = catalog.trace_digest(name, resolved)
             hit = store.path_for(key).exists()
             started = time.perf_counter()
-            catalog.generate(name, length)
+            if not hit:
+                params = catalog.get(name)
+                store.get_or_create(
+                    trace_identity(params, resolved),
+                    lambda: SyntheticWorkload(params).generate(resolved),
+                    mmap=False,
+                )
         except Exception as exc:
             if log is not None:
                 log.emit(

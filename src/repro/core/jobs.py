@@ -23,7 +23,6 @@ whole ways x capacities grid, yielding a miss-ratio surface).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import time
@@ -32,8 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..trace.memo import TRACE_MEMO
 from ..trace.record import AccessKind
 from ..trace.stream import Trace
+from ..workloads import catalog
 from .address import CacheGeometry
 from .fetch import FetchPolicy
 from .kernels import associativity_miss_surface
@@ -69,7 +70,9 @@ __all__ = [
 #: plan family (``plan: "representative"``), and stratified window
 #: features moved to the vectorized sweep, changing which windows a
 #: stratified plan selects for equal parameters.
-CACHE_SCHEMA_VERSION = 5
+#: Version 6: catalog and mix cells are keyed by their traces' content
+#: digests (parameters + generator version), not by name and length alone.
+CACHE_SCHEMA_VERSION = 6
 
 _WRITE_POLICIES = {
     "copy-back": WritePolicy(WriteStrategy.COPY_BACK, allocate_on_write=True),
@@ -87,7 +90,8 @@ class TraceSpec:
     Four kinds are supported:
 
     * ``catalog`` — a named catalog trace, regenerated deterministically
-      from its workload parameters (``name`` + ``length`` identify it);
+      from its workload parameters (identified by its content digest,
+      :func:`repro.workloads.catalog.trace_digest`);
     * ``mix`` — a round-robin multiprogramming interleave of catalog
       traces (the paper's Table 3 methodology);
     * ``inline`` — a literal trace carried as raw array bytes, for traces
@@ -185,12 +189,22 @@ class TraceSpec:
         return _build_trace(self)
 
     def identity(self) -> dict:
-        """JSON-able identity used for cache keying."""
+        """JSON-able identity used for cache keying.
+
+        Catalog and mix identities carry the content digest of each
+        catalog trace, so editing a catalog entry or bumping the
+        generator version changes the key.
+        """
         out: dict = {"kind": self.kind, "name": self.name, "length": self.length}
-        if self.kind == "mix":
+        if self.kind == "catalog":
+            out["content"] = catalog.trace_digest(self.name, self.length)
+        elif self.kind == "mix":
             out["members"] = list(self.members)
             out["quantum"] = self.quantum
             out["total"] = self.total
+            out["content"] = [
+                catalog.trace_digest(member, self.length) for member in self.members
+            ]
         elif self.kind == "inline":
             digest = hashlib.sha256()
             for blob in self.payload:
@@ -206,17 +220,26 @@ class TraceSpec:
         return out
 
 
-@functools.lru_cache(maxsize=64)
 def _build_trace(spec: TraceSpec) -> Trace:
-    """Build (and memoize per process) the trace a spec describes."""
-    if spec.kind == "catalog":
-        from ..workloads import catalog
+    """The trace a spec describes, through the process-wide trace memo.
 
+    A catalog trace is memoized under its content digest by
+    :func:`~repro.workloads.catalog.generate`; any other trace under its
+    spec.
+    """
+    if spec.kind == "catalog":
         return catalog.generate(spec.name, spec.length)
+    return TRACE_MEMO.get(spec, lambda: _materialize(spec))
+
+
+#: Lets callers that reset this process's traces through
+#: ``_build_trace.cache_clear()`` empty the trace memo.
+_build_trace.cache_clear = TRACE_MEMO.clear
+
+
+def _materialize(spec: TraceSpec) -> Trace:
     if spec.kind == "mix":
         from ..trace.filters import interleave_round_robin
-        from ..workloads import catalog
-
         return interleave_round_robin(
             [catalog.generate(m, spec.length) for m in spec.members],
             quantum=spec.quantum,

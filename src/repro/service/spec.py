@@ -92,17 +92,29 @@ def _encode_trace(spec: TraceSpec) -> dict:
     )
 
 
+def _catalog_name(name) -> str:
+    """A catalog trace name, checked: a cell's key needs its content digest."""
+    from ..workloads import catalog
+
+    name = str(name)
+    try:
+        catalog.get(name)
+    except KeyError:
+        raise SpecError(f"unknown catalog trace {name!r}") from None
+    return name
+
+
 def _decode_trace(doc: dict) -> TraceSpec:
     kind = doc.get("kind")
     if kind == "catalog":
-        return TraceSpec.catalog(str(doc["name"]), _opt_int(doc.get("length")))
+        return TraceSpec.catalog(_catalog_name(doc["name"]), _opt_int(doc.get("length")))
     if kind == "mix":
         members = doc.get("members")
         if not isinstance(members, list) or not members:
             raise SpecError("mix trace spec needs a non-empty 'members' list")
         return TraceSpec.mix(
             str(doc.get("name", "+".join(members))),
-            tuple(str(m) for m in members),
+            tuple(_catalog_name(m) for m in members),
             quantum=int(doc["quantum"]),
             length=_opt_int(doc.get("length")),
             total=_opt_int(doc.get("total")),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -25,6 +25,81 @@ _COMPILED_CACHE_ENTRIES = 4
 _DERIVED_CACHE_ENTRIES = 8
 
 _MISSING = object()
+
+
+def _buffer(array: np.ndarray) -> np.ndarray:
+    """The array that owns ``array``'s memory (a view keeps it alive)."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def _held_bytes(value, shared: set[int] = frozenset()) -> int:
+    """Bytes of the distinct array buffers reachable from ``value``.
+
+    Follows tuples, lists, dicts and the fields of dataclasses and
+    ``__slots__`` objects; each buffer counts once, whole, and buffers
+    whose ``id`` is in ``shared`` (already charged elsewhere) not at all.
+    """
+    seen = set(shared)
+    total = 0
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        if isinstance(item, np.ndarray):
+            buffer = _buffer(item)
+            if id(buffer) not in seen:
+                seen.add(id(buffer))
+                total += buffer.nbytes
+            continue
+        seen.add(id(item))
+        if isinstance(item, (tuple, list)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif is_dataclass(item) and not isinstance(item, type):
+            stack.extend(getattr(item, f.name) for f in fields(item))
+        elif not isinstance(item, type):
+            for klass in type(item).__mro__:
+                for name in getattr(klass, "__slots__", ()):
+                    stack.append(getattr(item, name, None))
+    return total
+
+
+def _list_bytes(array: np.ndarray) -> int:
+    """Bytes of ``array.tolist()``: a slot per element, plus an int object
+    for each value outside CPython's cache of small ints."""
+    small = np.count_nonzero((array >= -5) & (array <= 256))
+    return 8 * len(array) + 32 * (len(array) - int(small))
+
+
+class _Account:
+    """The bytes a trace holds, and the memo they are charged to.
+
+    ``nbytes`` counts the trace's arrays and everything derived from them,
+    charged where each piece is created.  ``memo`` is the
+    :class:`~repro.trace.memo.TraceMemo` holding the trace, if any, which
+    keeps its total in step.  A trace shares its account with its
+    :meth:`~Trace.with_metadata` copies.  Compiled views charge the
+    account but it refers to none of them, so a dropped trace is freed at
+    once by reference counting, not later by the cycle collector.
+    """
+
+    __slots__ = ("nbytes", "memo")
+
+    def __init__(self, nbytes: int) -> None:
+        self.nbytes = nbytes
+        self.memo = None
+
+    def charge(self, nbytes: int) -> None:
+        """Add ``nbytes`` (negative: release) to what the trace holds."""
+        memo = self.memo
+        if memo is None:
+            self.nbytes += nbytes
+        else:
+            memo.charge(self, nbytes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,9 +139,14 @@ class CompiledTrace:
         positions: int64 array of original trace indices, parallel to
             ``lines`` — the purge clock counts *trace* references, so
             consumers map interval boundaries through this array.
+        nbytes: bytes the view holds beyond its trace's arrays — its own
+            arrays, its list conversion and its memoized artifacts.
     """
 
-    __slots__ = ("line_size", "lines", "kinds", "positions", "_lists", "_memo")
+    __slots__ = (
+        "line_size", "lines", "kinds", "positions", "nbytes",
+        "_lists", "_memo", "_shared", "_owner",
+    )
 
     def __init__(self, trace: "Trace", line_size: int) -> None:
         if line_size <= 0 or line_size & (line_size - 1):
@@ -99,6 +179,19 @@ class CompiledTrace:
         self.positions = positions
         self._lists: tuple[list[int], list[int]] | None = None
         self._memo: OrderedDict = OrderedDict()
+        charged = {id(_buffer(a)) for a in (trace.kinds, trace.addresses, trace.sizes)}
+        self.nbytes = _held_bytes((lines, kinds, positions), charged)
+        # Buffers already charged, to the trace or to this view: an
+        # artifact that reuses one adds nothing.
+        self._shared = charged | {id(_buffer(a)) for a in (lines, kinds, positions)}
+        #: The account this view's bytes are charged to, while the trace
+        #: keeps the view (set by :meth:`Trace.compiled`).
+        self._owner: _Account | None = None
+
+    def _charge(self, nbytes: int) -> None:
+        self.nbytes += nbytes
+        if self._owner is not None:
+            self._owner.charge(nbytes)
 
     def __len__(self) -> int:
         """Number of line references (>= the trace's access count)."""
@@ -113,6 +206,7 @@ class CompiledTrace:
         """
         if self._lists is None:
             self._lists = (self.kinds.tolist(), self.lines.tolist())
+            self._charge(_list_bytes(self.kinds) + _list_bytes(self.lines))
         return self._lists
 
     def memo(self, key, build):
@@ -124,17 +218,21 @@ class CompiledTrace:
         trace across many cache sizes re-derives nothing: the first call
         per ``key`` runs ``build()``, later calls return the cached value.
         Bounded LRU, like the compiled-view cache itself, so a long
-        campaign over many organizations cannot pin unbounded state.
+        campaign over many organizations cannot pin unbounded state; each
+        artifact's bytes are charged to the trace while it is kept.
         """
         cache = self._memo
-        value = cache.get(key, _MISSING)
-        if value is not _MISSING:
+        entry = cache.get(key, _MISSING)
+        if entry is not _MISSING:
             cache.move_to_end(key)
-            return value
+            return entry[0]
         value = build()
-        cache[key] = value
+        size = _held_bytes(value, self._shared)
+        cache[key] = (value, size)
+        self._charge(size)
         while len(cache) > _DERIVED_CACHE_ENTRIES:
-            cache.popitem(last=False)
+            _key, (_value, dropped) = cache.popitem(last=False)
+            self._charge(-dropped)
         return value
 
     def cut(self, length: int) -> int:
@@ -168,7 +266,10 @@ class Trace(Sequence[MemoryAccess]):
             values (negative addresses, non-positive sizes, unknown kinds).
     """
 
-    __slots__ = ("_kinds", "_addresses", "_sizes", "metadata", "_compiled", "_raw_lists")
+    __slots__ = (
+        "_kinds", "_addresses", "_sizes", "metadata",
+        "_compiled", "_raw_lists", "_account",
+    )
 
     def __init__(
         self,
@@ -204,6 +305,7 @@ class Trace(Sequence[MemoryAccess]):
         self.metadata = metadata or TraceMetadata()
         self._compiled: OrderedDict[int, CompiledTrace] = OrderedDict()
         self._raw_lists: tuple[list[int], list[int], list[int]] | None = None
+        self._account = _Account(kinds.nbytes + addresses.nbytes + sizes.nbytes)
 
     # -- construction ------------------------------------------------------
 
@@ -228,10 +330,11 @@ class Trace(Sequence[MemoryAccess]):
     def with_metadata(self, **changes) -> "Trace":
         """Copy of this trace with metadata fields replaced.
 
-        The copy shares the compiled-view memo and raw-list cache with the
-        original — the arrays are immutable, so every derived artifact
-        stays valid, and renaming a trace mid-campaign no longer forces a
-        re-expansion of views that were already built.
+        The copy shares the compiled-view memo, the raw-list cache and
+        the byte account with the original — the arrays are immutable, so
+        every derived artifact stays valid, renaming a trace mid-campaign
+        no longer forces a re-expansion of views that were already built,
+        and the copy is not charged again for what the original holds.
         """
         copy = Trace(
             self._kinds,
@@ -242,6 +345,7 @@ class Trace(Sequence[MemoryAccess]):
         )
         copy._compiled = self._compiled
         copy._raw_lists = self._raw_lists
+        copy._account = self._account
         return copy
 
     # -- array views -------------------------------------------------------
@@ -284,14 +388,19 @@ class Trace(Sequence[MemoryAccess]):
         Raises:
             ValueError: if ``line_size`` is not a positive power of two.
         """
-        view = self._compiled.get(line_size)
+        views = self._compiled
+        view = views.get(line_size)
         if view is not None:
-            self._compiled.move_to_end(line_size)
+            views.move_to_end(line_size)
             return view
         view = CompiledTrace(self, line_size)
-        self._compiled[line_size] = view
-        while len(self._compiled) > _COMPILED_CACHE_ENTRIES:
-            self._compiled.popitem(last=False)
+        views[line_size] = view
+        view._owner = self._account
+        self._account.charge(view.nbytes)
+        while len(views) > _COMPILED_CACHE_ENTRIES:
+            _size, dropped = views.popitem(last=False)
+            dropped._owner = None
+            self._account.charge(-dropped.nbytes)
         return view
 
     def raw_lists(self) -> tuple[list[int], list[int], list[int]]:
@@ -302,11 +411,9 @@ class Trace(Sequence[MemoryAccess]):
         call when the same trace is swept across many configurations.
         """
         if self._raw_lists is None:
-            self._raw_lists = (
-                self._kinds.tolist(),
-                self._addresses.tolist(),
-                self._sizes.tolist(),
-            )
+            arrays = (self._kinds, self._addresses, self._sizes)
+            self._raw_lists = tuple(array.tolist() for array in arrays)
+            self._account.charge(sum(_list_bytes(array) for array in arrays))
         return self._raw_lists
 
     # -- sequence protocol ---------------------------------------------------

@@ -22,8 +22,9 @@ separately as in Table 1.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
 
+from ..trace.memo import TRACE_MEMO
 from ..trace.store import TraceStore
 from ..trace.stream import Trace
 from .architectures import make_parameters, profile
@@ -36,6 +37,7 @@ __all__ = [
     "table1_names",
     "get",
     "generate",
+    "trace_digest",
     "default_length",
     "groups",
     "group_of",
@@ -439,18 +441,35 @@ def default_length(name: str) -> int:
     return DEFAULT_TRACE_LENGTH
 
 
-#: In-process memo of generated traces, keyed by *normalized* (name,
-#: length) — ``length=None`` is resolved to the paper's default first, so
-#: ``generate("FGO1")`` and ``generate("FGO1", 250_000)`` share one entry.
-_MEMO: OrderedDict[tuple[str, int], Trace] = OrderedDict()
-_MEMO_MAX = 128
+#: The process-wide trace memo (:mod:`repro.trace.memo`).  Catalog
+#: traces are keyed by :func:`trace_digest`, so ``generate("FGO1")`` and
+#: ``generate("FGO1", 250_000)`` share one entry.
+_MEMO = TRACE_MEMO
+
+
+@functools.lru_cache(maxsize=1024)
+def trace_digest(name: str, length: int | None = None) -> str:
+    """Content digest of the catalog trace ``(name, length)``.
+
+    The SHA-256 of its :func:`~repro.workloads.generator.trace_identity`
+    document (every parameter, the length and the generator version) —
+    the key the trace store files it under.  Memoized per ``(name,
+    length)``: the catalog does not change while a process runs.
+
+    Raises:
+        KeyError: for an unknown trace name.
+    """
+    if length is None:
+        length = default_length(name)
+    return TraceStore.key_for(trace_identity(get(name), length))
 
 
 def generate(name: str, length: int | None = None) -> Trace:
     """Generate (and memoize) a catalog trace.
 
-    Repeated calls return the same object (an in-process LRU memo over the
-    normalized ``(name, length)``).  With ``REPRO_TRACE_STORE`` set, misses
+    Repeated calls return the same object while the process-wide trace
+    memo (:mod:`repro.trace.memo`) holds it, keyed by the trace's content
+    digest (:func:`trace_digest`).  With ``REPRO_TRACE_STORE`` set, misses
     resolve through the shared content-addressed
     :class:`~repro.trace.store.TraceStore`: the first process to ask for a
     given trace generates and stores it once, and every other process
@@ -468,23 +487,18 @@ def generate(name: str, length: int | None = None) -> Trace:
     params = get(name)
     if length is None:
         length = default_length(name)
-    key = (name, length)
-    cached = _MEMO.get(key)
-    if cached is not None:
-        _MEMO.move_to_end(key)
-        return cached
-    store = TraceStore.from_env()
-    if store is None:
-        trace = SyntheticWorkload(params).generate(length)
-    else:
+
+    def build() -> Trace:
+        store = TraceStore.from_env()
+        if store is None:
+            return SyntheticWorkload(params).generate(length)
         trace, _hit = store.get_or_create(
             trace_identity(params, length),
             lambda: SyntheticWorkload(params).generate(length),
         )
-    _MEMO[key] = trace
-    while len(_MEMO) > _MEMO_MAX:
-        _MEMO.popitem(last=False)
-    return trace
+        return trace
+
+    return _MEMO.get(trace_digest(name, length), build)
 
 
 def groups() -> dict[str, list[str]]:

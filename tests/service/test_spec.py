@@ -113,6 +113,14 @@ class TestRejections:
                             "job": {"type": "simulate", "size": 1024}}]}
             )
 
+    @pytest.mark.parametrize("trace", [
+        {"kind": "catalog", "name": "NOPE"},
+        {"kind": "mix", "members": ["ZGREP", "NOPE"], "quantum": 1000},
+    ])
+    def test_unknown_catalog_trace(self, trace):
+        with pytest.raises(SpecError, match="unknown catalog trace 'NOPE'"):
+            decode_cells({"cells": [{"trace": trace, "job": {"type": "simulate", "size": 1024}}]})
+
     def test_simulate_needs_a_size(self):
         with pytest.raises(SpecError, match="size"):
             decode_cells(

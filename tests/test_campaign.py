@@ -141,6 +141,34 @@ class TestCellKey:
             CampaignCell("c", TraceSpec.inline(first), SWEEP_JOB)
         ) != cell_key(CampaignCell("c", TraceSpec.inline(second), SWEEP_JOB))
 
+    @pytest.mark.parametrize("kind", ["catalog", "mix"])
+    def test_catalog_content_enters_the_key(self, kind, monkeypatch):
+        # A catalog or mix cell is keyed by what its traces contain, so an
+        # edited catalog entry or a generator bump cannot serve stale cells.
+        from dataclasses import replace
+
+        from repro.workloads import generator
+
+        if kind == "catalog":
+            spec = TraceSpec.catalog("ZGREP", LENGTH)
+        else:
+            spec = TraceSpec.mix("mix", ("ZVI", "ZGREP"), quantum=1_000, length=LENGTH)
+        cell = CampaignCell("c", spec, SIM_JOB)
+        base = cell_key(cell)
+        monkeypatch.setitem(
+            catalog._REGISTRY, "ZGREP", replace(catalog.get("ZGREP"), seed=12_345)
+        )
+        catalog.trace_digest.cache_clear()
+        edited = cell_key(cell)
+        monkeypatch.undo()
+        monkeypatch.setattr(generator, "GENERATOR_VERSION", generator.GENERATOR_VERSION + 1)
+        catalog.trace_digest.cache_clear()
+        bumped = cell_key(cell)
+        monkeypatch.undo()
+        catalog.trace_digest.cache_clear()
+        assert len({base, edited, bumped}) == 3
+        assert cell_key(cell) == base
+
     def test_engine_does_not_enter_the_key(self):
         # Kernel and generic engines are bit-identical by contract, so a
         # cached result from either engine serves both.
@@ -360,6 +388,39 @@ class TestRunCampaign:
             return run_campaign(small_cells()[:1], workers=1, cache=False)
 
         assert asyncio.run(body()).failed_cells == 0
+
+
+class TestTraceStorePriming:
+    def test_priming_stores_traces_without_keeping_them(self, monkeypatch, tmp_path):
+        import io
+        import json
+
+        from repro.campaign import EventLog, _prime_trace_store
+        from repro.trace.memo import TRACE_MEMO
+        from repro.trace.store import TRACE_STORE_ENV, TraceStore
+
+        monkeypatch.setenv(TRACE_STORE_ENV, str(tmp_path / "store"))
+        cells = small_cells() + [
+            CampaignCell(
+                "mix", TraceSpec.mix("mix", ("ZVI", "ZGREP"), quantum=1_000, length=LENGTH),
+                SWEEP_JOB,
+            )
+        ]
+        primed = {("ZGREP", LENGTH), ("PLO", LENGTH), ("ZVI", LENGTH)}
+        TRACE_MEMO.clear()
+        try:
+            for expected in ("trace_store_write", "trace_store_hit"):
+                stream = io.StringIO()
+                _prime_trace_store(cells, EventLog(stream))
+                events = [json.loads(line) for line in stream.getvalue().splitlines()]
+                assert [e["event"] for e in events] == [expected] * len(primed)
+                assert {(e["name"], e["length"]) for e in events} == primed
+                assert len(TRACE_MEMO) == 0
+            assert len(TraceStore.from_env()) == len(primed)
+            for name, length in primed:
+                assert catalog.trace_digest(name, length) not in TRACE_MEMO
+        finally:
+            TRACE_MEMO.clear()
 
 
 class TestExperimentEquivalence:
