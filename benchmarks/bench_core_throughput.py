@@ -9,8 +9,9 @@ generation — both engines, per workload family, at ``REPRO_BENCH_GEN_REFS``
 references — the shared trace store's cold-write and warm-mmap paths,
 and the ``.rtrc`` load paths (memory-mapped vs eager copy).
 
-The LRU kernel, the mechanism-carrying replays and the stack-distance
-sweep are timed twice.  The plain entries (``simulator_kernel``,
+The LRU kernel, the plain direct-mapped kernel, the mechanism-carrying
+replays and the stack-distance sweep are timed twice.  The plain entries
+(``simulator_kernel``, ``simulator_kernel_dm``,
 ``simulator_victim_cache``, ``stack_distance_sweep``, ...) are *cold*:
 every round gets a fresh ``Trace`` object over the same arrays, so the
 line expansion and the hit/miss classification run each time instead of
@@ -123,6 +124,24 @@ def test_simulator_kernel_warm_throughput(benchmark, trace, throughput_log):
     report = benchmark(_lru_kernel, trace)
     assert report.references == REFS
     _record(throughput_log, "simulator_kernel_warm", benchmark, REFS)
+
+
+def _dm_kernel(trace):
+    # A plain direct-mapped cell: the miss-stream replay with no chain.
+    return simulate(trace, UnifiedCache(CacheGeometry(16384, 16, 1)))
+
+
+def test_simulator_kernel_dm_throughput(benchmark, trace, throughput_log):
+    report = _cold(benchmark, trace, _dm_kernel)
+    assert report.references == REFS
+    _record(throughput_log, "simulator_kernel_dm", benchmark, REFS)
+
+
+def test_simulator_kernel_dm_warm_throughput(benchmark, trace, throughput_log):
+    _dm_kernel(trace)  # fill the memo; every timed round is a hit
+    report = benchmark(_dm_kernel, trace)
+    assert report.references == REFS
+    _record(throughput_log, "simulator_kernel_dm_warm", benchmark, REFS)
 
 
 def test_simulator_fifo_kernel_throughput(benchmark, trace, throughput_log):

@@ -5,24 +5,26 @@ paths matter.  This module holds the replay kernels that exploit structure
 instead of brute-force per-reference dispatch:
 
 * :func:`lru_demand_replay` — replay for demand-fetch caches without write
-  combining.  LRU members on a cold start take a fully vectorized path:
-  per-set stack distances classify every reference as hit or miss in whole-
-  array passes (a reference hits a W-way set iff its distance within the
-  set is at most W), and eviction/push/final-state accounting is recovered
-  from *residency intervals* — the spans between consecutive misses of a
-  line — with segmented prefix sums.  The distance machinery and sort
+  combining.  Set-associative LRU members on a cold start take a fully
+  vectorized path: per-set stack distances classify every reference as
+  hit or miss in whole-array passes (a reference hits a W-way set iff its
+  distance within the set is at most W), and eviction/push/final-state
+  accounting is recovered from *residency intervals* — the spans between
+  consecutive misses of a line — with segmented prefix sums.  The distance machinery and sort
   orders are memoized on the compiled trace view, so sweeping one trace
   across many cache sizes pays the O(n log² n) analysis once and each
   subsequent configuration costs a few O(n) array passes.  FIFO and RANDOM
   members use specialized dict loops (DEW's observation that FIFO needs no
   reorder on hit makes the FIFO loop branch-free on the hit path); LRU
   members that start warm, or write-through-no-allocate members, use the
-  original tight dict loop.  Direct-mapped members carrying a miss-path
-  chain (victim/miss caches, stream buffers, an L2) take the miss-stream
-  replay: a direct-mapped hit is "the previous reference to this set
-  touched the same line", one vectorized classification per trace view,
-  and a Python loop then visits only the misses, purges and the warmup
-  reset, driving the real chain objects.  :func:`repro.core.simulator.simulate`
+  original tight dict loop.  Organizations whose members are all cold,
+  allocate-on-write, direct-mapped LRU or FIFO take the miss-stream
+  replay, with or without a miss-path chain (victim/miss caches, stream
+  buffers, an L2): a direct-mapped hit is "the previous reference to this
+  set touched the same line", one O(n) classification per trace view
+  shared by every chain, and a Python loop then visits only the misses,
+  purges and the warmup reset, driving the real chain objects (or an
+  inert one).  :func:`repro.core.simulator.simulate`
   selects the kernel automatically when :func:`can_replay` approves the
   organization.
 
@@ -109,13 +111,20 @@ def _cache_qualifies(cache: Cache) -> bool:
         and cache.write_policy.combining_bytes == 0
     ):
         return False
-    policy = _policy_kind(cache)
     if cache.miss_path is None:
-        return policy is not None
-    # Miss-stream replay: one way makes LRU and FIFO identical and the
-    # victim deterministic (a 1-way RANDOM set still draws from its rng).
+        return _policy_kind(cache) is not None
+    return _fits_miss_stream(cache)
+
+
+def _fits_miss_stream(cache: Cache) -> bool:
+    """True iff the miss-stream replay can drive ``cache``: cold,
+    allocate-on-write, direct-mapped LRU or FIFO.
+
+    One way makes LRU and FIFO identical and the victim deterministic (a
+    1-way RANDOM set still draws from its rng).
+    """
     return (
-        policy in ("lru", "fifo")
+        _policy_kind(cache) in ("lru", "fifo")
         and cache.geometry.ways == 1
         and cache.write_policy.allocate_on_write
         and not any(cache._sets)
@@ -165,15 +174,18 @@ def lru_demand_replay(
     ==============  ===========================  ===========================
     policy          starting state               path
     ==============  ===========================  ===========================
+    LRU/FIFO,       cold, allocate-on-write,     miss-stream replay: loop
+    every member    with or without a miss path  over misses, real or inert
+    1-way                                        chain
     LRU             cold, allocate-on-write      vectorized stack-distance
                                                  replay
     LRU             warm start or no-allocate    tight dict loop
-    FIFO            any                          dict loop, no reorder on hit
+    FIFO            any other                    dict loop, no reorder on hit
     RANDOM          any                          dict loop, cache's own
                                                  per-set rngs
-    LRU/FIFO, 1-way cold, allocate-on-write,     miss-stream replay: loop
-                    miss path attached           over misses, real chain
     ==============  ===========================  ===========================
+
+    The first matching row wins.
 
     Returns:
         The number of measured (post-warmup) trace references.
@@ -202,6 +214,8 @@ def lru_demand_replay(
         member_of = np.asarray(routing, dtype=np.int8)[kinds]
 
     chain = members[0].miss_path
+    if chain is None and all(_fits_miss_stream(cache) for cache in members):
+        chain = _NO_CHAIN
     if chain is not None:
         stream = compiled.memo(
             (
@@ -874,6 +888,30 @@ def _build_miss_stream(
         victim_data=victim_data[by_time],
         victim_write=victim_write[by_time],
     )
+
+
+class _InertChain:
+    """The miss path of a chain-less organization on the miss-stream
+    replay: memory services every miss and keeps every victim."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def service_miss(kind: int, line: int) -> int:
+        return 0
+
+    @staticmethod
+    def on_evict(line: int, flags: int) -> bool:
+        return False
+
+    def purge(self) -> None:
+        pass
+
+    def reset_statistics(self) -> None:
+        pass
+
+
+_NO_CHAIN = _InertChain()
 
 
 def _replay_miss_stream(

@@ -21,7 +21,9 @@ Three stdlib-only backends ship:
   (``python -m repro.service.worker``) pulling cells over stdin/stdout
   pipes (length-prefixed pickle frames).  Workers are independent: one
   crashing loses only its own cell and is respawned, which makes this
-  the resilient choice for long-running services.
+  the resilient choice for long-running services.  A worker takes no
+  cell until it reports ready, so start-up never counts against a
+  cell's timeout.
 
 All backends expose ``capacity`` (concurrent cells the scheduler should
 keep in flight), are started with ``await backend.start()`` and torn
@@ -46,7 +48,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from ..campaign import worker_count
 from ..core.jobs import CampaignCell, CellError, CellResult, run_cell
-from .worker import MAX_FRAME_BYTES
+from .worker import MAX_FRAME_BYTES, READY
 
 __all__ = [
     "BackendCrash",
@@ -195,12 +197,27 @@ class _FleetWorker:
         payload = pickle.dumps(cell, protocol=pickle.HIGHEST_PROTOCOL)
         self.process.stdin.write(_HEADER.pack(len(payload)) + payload)
         await self.process.stdin.drain()
+        return pickle.loads(await self._read_frame())
+
+    async def ready(self) -> None:
+        """Wait out the worker's start-up: its imports and runner lookup."""
+        try:
+            frame = await self._read_frame()
+        except asyncio.IncompleteReadError:
+            frame = None
+        if frame != READY:
+            await self.stop()
+            raise BackendCrash(
+                "fleet worker failed to start "
+                f"(exit code {self.process.returncode})"
+            )
+
+    async def _read_frame(self) -> bytes:
         header = await self.process.stdout.readexactly(_HEADER.size)
         (length,) = _HEADER.unpack(header)
         if length > MAX_FRAME_BYTES:
             raise BackendCrash("fleet worker sent a corrupt frame header")
-        frame = await self.process.stdout.readexactly(length)
-        return pickle.loads(frame)
+        return await self.process.stdout.readexactly(length)
 
     @property
     def alive(self) -> bool:
@@ -264,6 +281,7 @@ class SubprocessFleetBackend:
             env=os.environ.copy(),
         )
         worker = _FleetWorker(process)
+        await worker.ready()
         self._workers.append(worker)
         return worker
 

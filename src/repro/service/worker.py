@@ -5,6 +5,9 @@
 The protocol over stdin/stdout is deliberately dumb — length-prefixed
 pickle frames, one request in, one response out:
 
+* worker → parent, once: :data:`READY`, after the worker has imported
+  its runner — so the parent can hold a worker back until start-up is
+  over and no cell's timeout pays for it;
 * parent → worker: a pickled :class:`~repro.core.jobs.CampaignCell`;
 * worker → parent: ``("ok", CellResult)`` or ``("error", CellError)``.
 
@@ -34,9 +37,12 @@ import sys
 
 from ..core.jobs import CellError, run_cell
 
-__all__ = ["read_frame", "write_frame", "resolve_runner", "main"]
+__all__ = ["READY", "read_frame", "write_frame", "resolve_runner", "main"]
 
 _HEADER = struct.Struct(">Q")
+
+#: The worker's first frame: its runner is resolved and it takes cells.
+READY = b"ready"
 
 #: Refuse frames over this size (a corrupt length prefix must not OOM us).
 MAX_FRAME_BYTES = 256 * 1024 * 1024
@@ -81,7 +87,9 @@ def resolve_runner(spec: str):
 
 
 def serve(stdin, stdout, runner) -> None:
-    """The worker loop: one cell in, one result out, until EOF."""
+    """The worker loop: announce :data:`READY`, then one cell in, one
+    result out, until EOF."""
+    write_frame(stdout, READY)
     while True:
         frame = read_frame(stdin)
         if frame is None:

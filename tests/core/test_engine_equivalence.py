@@ -7,9 +7,9 @@
 measured — and demands bit-identical reports and final cache state from
 every engine: the generic per-reference loop, the kernel's vectorized
 cold-LRU path, the kernel's dict loops (no-allocate LRU, FIFO, RANDOM),
-and its miss-stream replay of direct-mapped primaries carrying miss-path
-mechanisms.  It also pins mechanism statistics across campaign worker
-counts: fan-out must never change a result.
+and its miss-stream replay of cold direct-mapped primaries, with or
+without miss-path mechanisms.  It also pins mechanism statistics across
+campaign worker counts: fan-out must never change a result.
 """
 
 import math
@@ -74,9 +74,9 @@ MISS_PATH = {
 
 
 #: Engine variants: (name, organization factory).  The kernel picks its
-#: vectorized path only for cold allocate-on-write LRU, its dict loops for
-#: the next three and its miss-stream replay for the miss-path variants
-#: (see the kernel-selection matrix in
+#: vectorized path only for cold allocate-on-write set-associative LRU,
+#: its dict loops for the next three and its miss-stream replay for the
+#: ``dm-*`` and miss-path variants (see the kernel-selection matrix in
 #: ``repro.core.kernels.lru_demand_replay``).
 ENGINES = {
     "lru-vectorized": lambda: UnifiedCache(CacheGeometry(512, 16, 2)),
@@ -89,6 +89,12 @@ ENGINES = {
     "random-dict": lambda: UnifiedCache(
         CacheGeometry(512, 16, 2), replacement=policy_factory("random")
     ),
+    "dm-lru": lambda: UnifiedCache(_DM),
+    "dm-fifo": lambda: UnifiedCache(_DM, replacement=policy_factory("fifo")),
+    "dm-write-through-allocate": lambda: UnifiedCache(
+        _DM, write_policy=WRITE_THROUGH_ALLOCATE
+    ),
+    "dm-split": lambda: SplitCache(CacheGeometry(256, 16, 1), _DM),
     **{f"miss-stream-{name}": make for name, make in MISS_PATH.items()},
 }
 
@@ -224,6 +230,58 @@ class TestMissPathEquivalence:
         organization = MISS_PATH["vc"]()
         simulate(random_trace(seed="warm", length=100), organization)
         assert not can_replay(organization)
+
+
+def _memo_kinds(trace) -> list[str]:
+    """The artifact kinds the kernel memoized on ``trace``'s 16 B view."""
+    return [key[0] for key in trace.compiled(16)._memo]
+
+
+class TestDirectMappedRoute:
+    """Which kernel path a plain direct-mapped organization takes."""
+
+    def test_cold_plain_direct_mapped_streams_misses(self):
+        trace = random_trace(seed="dm-route")
+        simulate(trace, UnifiedCache(_DM), engine="kernel")
+        assert _memo_kinds(trace) == ["miss-stream"]
+
+    def test_baseline_shares_the_classification_with_its_variant(self):
+        trace = random_trace(seed="dm-share")
+        simulate(trace, UnifiedCache(_DM), engine="kernel")
+        simulate(trace, MISS_PATH["vc"](), engine="kernel")
+        assert _memo_kinds(trace) == ["miss-stream"]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: UnifiedCache(_DM, replacement=policy_factory("random", seed=3)),
+            lambda: UnifiedCache(_DM, write_policy=WRITE_THROUGH),
+        ],
+        ids=["random", "no-allocate"],
+    )
+    @pytest.mark.parametrize("schedule", ["plain", "purge-on-warmup-boundary"])
+    def test_out_of_scope_members_keep_their_paths(self, make, schedule):
+        trace = random_trace(seed=f"dm-out/{schedule}")
+        _, kernel, kernel_state = _run(make, trace, "kernel", SCHEDULES[schedule])
+        assert "miss-stream" not in _memo_kinds(trace)
+        _, generic, generic_state = _run(make, trace, "generic", SCHEDULES[schedule])
+        assert kernel == generic
+        assert kernel_state == generic_state
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_warm_direct_mapped_keeps_its_path(self, policy):
+        def warm():
+            organization = UnifiedCache(_DM, replacement=policy_factory(policy))
+            simulate(random_trace(seed="dm-warmer", length=200), organization)
+            return organization
+
+        trace = random_trace(seed=f"dm-warm/{policy}")
+        schedule = dict(allow_warm=True)
+        _, kernel, kernel_state = _run(warm, trace, "kernel", schedule)
+        assert "miss-stream" not in _memo_kinds(trace)
+        _, generic, generic_state = _run(warm, trace, "generic", schedule)
+        assert kernel == generic
+        assert kernel_state == generic_state
 
 
 class TestCampaignWorkerEquivalence:

@@ -125,6 +125,13 @@ class TestFleetBackend:
         assert isinstance(result, CellResult)
         assert backend.respawns == 0
 
+    def test_worker_that_cannot_start_fails_the_start(self):
+        # The runner does not exist: the worker exits before its ready
+        # frame, and start() says so instead of handing it a cell.
+        backend = SubprocessFleetBackend(workers=1, runner=f"{HELPERS}:missing")
+        with pytest.raises(BackendCrash, match="failed to start"):
+            asyncio.run(with_backend(backend, lambda: None))
+
 
 class TestRegistry:
     def test_known_backends(self):

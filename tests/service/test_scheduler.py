@@ -461,13 +461,12 @@ class TestRetriesAndTimeouts:
         backend = SubprocessFleetBackend(
             workers=1, runner="tests.service.helpers:hang_on_marker"
         )
-        warm, ok, hang = labelled_cells("warm", "ok", "HANG")
+        ok, hang = labelled_cells("ok", "HANG")
 
         async def body():
             scheduler = Scheduler(backend, cache=tmp_path / "cache", timeout=0.5)
             await scheduler.start()
             try:
-                await backend.run(warm)  # worker start-up, outside the limit
                 return await run_to_done(scheduler, [ok, hang])
             finally:
                 await scheduler.close()
@@ -477,6 +476,27 @@ class TestRetriesAndTimeouts:
         assert state.outcomes[0]["ok"] is True
         assert state.outcomes[1]["error"] == "TimeoutError"
         assert backend.respawns == 1
+
+    def test_fleet_start_up_is_not_charged_to_the_first_cell(self, tmp_path):
+        # Importing this runner takes 1 s, twice the cell timeout: the
+        # worker must finish starting before its first cell is timed.
+        backend = SubprocessFleetBackend(
+            workers=1, runner="tests.service.slow_start:fake_run"
+        )
+        (cell,) = labelled_cells("first")
+
+        async def body():
+            scheduler = Scheduler(backend, cache=tmp_path / "cache", timeout=0.5)
+            await scheduler.start()
+            try:
+                return await run_to_done(scheduler, [cell])
+            finally:
+                await scheduler.close()
+
+        state = asyncio.run(body())
+        assert state.status == "done"
+        assert state.outcomes[0]["ok"] is True
+        assert backend.respawns == 0
 
 
 KEY = "ab" + "0" * 62
