@@ -9,14 +9,14 @@ generation — both engines, per workload family, at ``REPRO_BENCH_GEN_REFS``
 references — the shared trace store's cold-write and warm-mmap paths,
 and the ``.rtrc`` load paths (memory-mapped vs eager copy).
 
-The LRU kernel, the plain direct-mapped kernel, the mechanism-carrying
-replays and the stack-distance sweep are timed twice.  The plain entries
-(``simulator_kernel``, ``simulator_kernel_dm``,
-``simulator_victim_cache``, ``stack_distance_sweep``, ...) are *cold*:
-every round gets a fresh ``Trace`` object over the same arrays, so the
-line expansion and the hit/miss classification run each time instead of
-being served from ``CompiledTrace.memo``.  The ``_warm`` entries reuse one
-trace and so time the memo hit a repeated query pays.
+Every simulator, sweep and surface entry is *cold*: each round gets a
+fresh ``Trace`` object over the same arrays, so the line expansion and
+the hit/miss classification run each time instead of being served from
+``CompiledTrace.memo``.  The LRU kernel, the plain direct-mapped kernel,
+the mechanism-carrying replays and the stack-distance sweep also have a
+``_warm`` twin that reuses one trace and so times the memo hit a
+repeated query pays.  Belady's MIN, trace loading, generation and the
+trace store take no trace memo.
 
 Besides the usual pytest-benchmark console table, the module writes a
 machine-readable summary — references/second per hot path — to
@@ -145,20 +145,20 @@ def test_simulator_kernel_dm_warm_throughput(benchmark, trace, throughput_log):
 
 
 def test_simulator_fifo_kernel_throughput(benchmark, trace, throughput_log):
-    def run():
+    def run(trace):
         return simulate(
             trace,
             UnifiedCache(CacheGeometry(16384, 16, 4), replacement=policy_factory("fifo")),
             engine="kernel",
         )
 
-    report = benchmark(run)
+    report = _cold(benchmark, trace, run)
     assert report.references == REFS
     _record(throughput_log, "simulator_kernel_fifo", benchmark, REFS)
 
 
 def test_simulator_random_kernel_throughput(benchmark, trace, throughput_log):
-    def run():
+    def run(trace):
         return simulate(
             trace,
             UnifiedCache(
@@ -167,7 +167,7 @@ def test_simulator_random_kernel_throughput(benchmark, trace, throughput_log):
             engine="kernel",
         )
 
-    report = benchmark(run)
+    report = _cold(benchmark, trace, run)
     assert report.references == REFS
     _record(throughput_log, "simulator_kernel_random", benchmark, REFS)
 
@@ -184,10 +184,10 @@ def test_opt_kernel_throughput(benchmark, trace, throughput_log):
 
 
 def test_simulator_generic_throughput(benchmark, trace, throughput_log):
-    def run():
+    def run(trace):
         return simulate(trace, UnifiedCache(CacheGeometry(16384, 16)), engine="generic")
 
-    report = benchmark(run)
+    report = _cold(benchmark, trace, run)
     assert report.references == REFS
     _record(throughput_log, "simulator_generic", benchmark, REFS)
 
@@ -301,10 +301,10 @@ def test_stack_distance_warm_throughput(benchmark, trace, throughput_log):
 
 
 def test_associativity_surface_throughput(benchmark, trace, throughput_log):
-    def run():
+    def run(trace):
         return associativity_miss_surface(trace, _ASSOC_WAYS, _ASSOC_CAPACITIES)
 
-    surface = benchmark(run)
+    surface = _cold(benchmark, trace, run)
     assert surface.shape == (len(_ASSOC_WAYS), len(_ASSOC_CAPACITIES))
     # One run covers the whole grid; refs/sec is per grid, not per cell.
     _record(throughput_log, "associativity_surface", benchmark, REFS)

@@ -13,10 +13,9 @@ prefetch-study benchmarks (``bench_table4_fig8_9_10.py`` renders the
 stream table when present); this module owns the mechanism campaign.
 """
 
-import json
 import math
 
-from common import RESULTS_DIR, bench_length, run_once, save_result
+from common import bench_length, merge_json_result, run_once, save_result
 
 from repro.analysis import mechanism_study
 
@@ -75,6 +74,4 @@ def test_mechanism_study(benchmark):
             for name in study.variant_names
         },
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_mechanisms.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    merge_json_result("BENCH_mechanisms", payload)

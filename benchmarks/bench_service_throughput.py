@@ -17,13 +17,12 @@ it.  ``REPRO_BENCH_SERVICE_REFS`` scales the per-cell trace length
 (default 20 000; CI's smoke step uses a shorter setting).
 """
 
-import json
 import os
 import tempfile
 import threading
 import time
 
-from common import RESULTS_DIR
+from common import merge_json_result
 
 from repro.core.jobs import CampaignCell, SimulateJob, TraceSpec
 from repro.service import (
@@ -132,9 +131,7 @@ def test_service_throughput_under_concurrent_clients():
         "cpu_count": os.cpu_count(),
         "phases": phases,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_service_throughput.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    merge_json_result("BENCH_service_throughput", payload)
 
     for entry in phases:
         print(

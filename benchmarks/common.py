@@ -35,6 +35,8 @@ from __future__ import annotations
 import functools
 import json
 import os
+import platform
+import subprocess
 from pathlib import Path
 
 DEFAULT_BENCH_LENGTH = 60_000
@@ -88,10 +90,13 @@ def merge_json_result(
     ``references_per_run``).  When the existing file recorded any of them
     differently, its merge sections are dropped rather than mixed with
     entries measured at another scale.
+
+    Every file gets a ``provenance`` block describing this run (see
+    :func:`provenance`).
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
-    merged = dict(payload)
+    merged = {**payload, "provenance": provenance()}
     if path.exists():
         try:
             previous = json.loads(path.read_text(encoding="utf-8"))
@@ -108,6 +113,29 @@ def merge_json_result(
         json.dumps(merged, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return path
+
+
+def provenance() -> dict:
+    """Where a bench result was measured: the source commit (None outside
+    a git checkout), the Python and numpy versions and the CPU count."""
+    import numpy
+
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    return {
+        "commit": commit,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def fresh_trace(trace):

@@ -5,15 +5,16 @@ paths matter.  This module holds the replay kernels that exploit structure
 instead of brute-force per-reference dispatch:
 
 * :func:`lru_demand_replay` — replay for demand-fetch caches without write
-  combining.  Set-associative LRU members on a cold start take a fully
-  vectorized path: per-set stack distances classify every reference as
-  hit or miss in whole-array passes (a reference hits a W-way set iff its
-  distance within the set is at most W), and eviction/push/final-state
-  accounting is recovered from *residency intervals* — the spans between
-  consecutive misses of a line — with segmented prefix sums.  The distance machinery and sort
-  orders are memoized on the compiled trace view, so sweeping one trace
-  across many cache sizes pays the O(n log² n) analysis once and each
-  subsequent configuration costs a few O(n) array passes.  FIFO and RANDOM
+  combining.  Cold, allocate-on-write, set-associative LRU members take one
+  fully vectorized path, with or without a warmup reset: per-set stack
+  distances classify every reference as hit or miss in whole-array passes
+  (a reference hits a W-way set iff its distance within the set is at
+  most W), and eviction/push/final-state accounting is recovered from
+  *residency intervals* — the spans between consecutive misses of a
+  line — with segmented prefix sums.  The distances and sort orders are
+  memoized on the compiled trace view, so sweeping one trace across many
+  cache sizes pays the O(n log² n) analysis once and each subsequent
+  configuration costs a few O(n) array passes.  FIFO and RANDOM
   members use specialized dict loops (DEW's observation that FIFO needs no
   reorder on hit makes the FIFO loop branch-free on the hit path); LRU
   members that start warm, or write-through-no-allocate members, use the
@@ -178,7 +179,7 @@ def lru_demand_replay(
     every member    with or without a miss path  over misses, real or inert
     1-way                                        chain
     LRU             cold, allocate-on-write      vectorized stack-distance
-                                                 replay
+                    (any warmup)                 replay
     LRU             warm start or no-allocate    tight dict loop
     FIFO            any other                    dict loop, no reorder on hit
     RANDOM          any                          dict loop, cache's own
@@ -265,10 +266,7 @@ def lru_demand_replay(
                         cache.write_policy.is_copy_back,
                     ),
                 )
-                if warmup == 0 and cache.geometry.ways < _CLIP:
-                    _replay_member_presorted(cache, bundle)
-                else:
-                    _replay_member_vectorized(cache, bundle, warmup)
+                _replay_member_vectorized(cache, bundle, warmup)
                 continue
             if single:
                 mkinds, mlines, mpositions = kinds, lines, positions
@@ -317,14 +315,6 @@ def lru_demand_replay(
 # -- the vectorized LRU replay path ------------------------------------------
 
 
-#: Stack distances are clipped to this before being packed next to chain
-#: ids in one int64 (the segmented-cummax trick).  Any real associativity
-#: is far below it, so the clip never changes a hit/miss comparison; a
-#: (absurd) wider cache falls back to the unclipped O(n) path.
-_CLIP = np.int64(1) << 32
-_PACK_SHIFT = 33
-
-
 class _ReplayBundle:
     """Configuration-independent analysis of one member's line stream.
 
@@ -333,15 +323,8 @@ class _ReplayBundle:
     whole capacity/ways sweep.  Layout: arrays are in "set order" (stable
     sort by set index; within a set, original time order), the layout in
     which each set's references are contiguous and per-set stack structure
-    becomes segmented prefix sums.
-
-    The ``sorted_*``/``chain_*`` members are the threshold tables of the
-    measured-from-the-start (no warmup) fast path: every counter the
-    engine produces is a monotone function of the associativity ``W``
-    (references with stack distance > W, residencies whose first data
-    reference follows a distance-> W gap, chains with fewer than W
-    later-finishing neighbours, ...), so one ``np.sort`` at build time
-    turns each per-call tally into a binary search.
+    becomes segmented prefix sums.  Each configuration replayed from it
+    costs a few O(n) array passes (:func:`_replay_member_vectorized`).
     """
 
     __slots__ = (
@@ -358,13 +341,6 @@ class _ReplayBundle:
         "flag_or",        # per-reference flag bitmask, in line_order space
         "kind_counts",    # histogram of kinds (warmup-free refs counters)
         "purge_positions",  # int64 purge trace-positions
-        # threshold tables (clipped distances, sorted ascending)
-        "sorted_by_kind",     # 4 arrays: distances of each access kind
-        "sorted_reuse",       # distances of the non-cold references
-        "sorted_cold_crowd",  # first_touch of the cold references
-        "sorted_res_data",    # per data ref: max distance since prev data ref
-        "sorted_res_dirty",   # per write ref: ditto for writes (copy-back)
-        "chains",             # per-(line, epoch) chain survival table
     )
 
     def __init__(self, **fields) -> None:
@@ -461,115 +437,6 @@ def _build_replay_bundle(
     )
     flag_or = flag_table[kinds][line_order]
 
-    # -- threshold tables for the no-warmup fast path ------------------------
-
-    clipped = np.minimum(distances, _CLIP)
-    sorted_by_kind = tuple(
-        np.sort(clipped[kinds == kind]) for kind in range(4)
-    )
-    sorted_reuse = np.sort(clipped[~cold])
-    sorted_cold_crowd = np.sort(first_touch[cold])
-
-    # Chains: one row per (line, epoch) group in line_order space.  A chain
-    # splits into residencies at its misses; only the *last* residency can
-    # outlive the epoch.
-    grouped_distances = clipped[line_order]
-    grouped_kinds = kinds[line_order]
-    chain_start = np.empty(n, dtype=bool)
-    if n:
-        chain_start[0] = True
-        chain_start[1:] = last_in_epoch[:-1]
-    chain_id = np.cumsum(chain_start) - 1
-    chain_starts = np.flatnonzero(chain_start)
-    chain_ends = np.flatnonzero(last_in_epoch)
-    num_chains = len(chain_starts)
-
-    # Inclusive suffix max of distances within each chain, via one reverse
-    # cummax over (chain, distance) packed into int64.
-    if n:
-        packed = ((np.int64(num_chains) - chain_id[::-1]) << _PACK_SHIFT) | (
-            grouped_distances[::-1]
-        )
-        suffix_max = (
-            np.maximum.accumulate(packed) & ((np.int64(1) << _PACK_SHIFT) - 1)
-        )[::-1]
-    else:
-        suffix_max = grouped_distances
-
-    def residency_thresholds(flagged: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(per_ref, per_chain)`` thresholds for one flag class.
-
-        per_ref[j] (for each flagged reference j) is the largest distance
-        between j and the previous flagged reference of its chain — j opens
-        a new flag-carrying residency iff that gap contains a miss, i.e.
-        iff the threshold exceeds W.  per_chain[c] is the distance max
-        *after* the chain's last flagged reference — the chain's surviving
-        residency carries the flag iff that is at most W (BIG if the chain
-        has no flagged reference at all).
-        """
-        if not n:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        # Running max that resets after each flagged reference: sub-chains
-        # delimited by chain starts and positions following flagged refs.
-        sub_start = chain_start.copy()
-        sub_start[1:] |= flagged[:-1]
-        sub_id = np.cumsum(sub_start) - 1
-        packed = (sub_id << _PACK_SHIFT) | grouped_distances
-        running = np.maximum.accumulate(packed) & ((np.int64(1) << _PACK_SHIFT) - 1)
-        per_ref = np.sort(running[flagged])
-        # Last flagged reference per chain (index max; -1 when absent).
-        index = np.arange(n, dtype=np.int64)
-        last_flagged = np.maximum.reduceat(
-            np.where(flagged, index, np.int64(-1)), chain_starts
-        )
-        per_chain = np.full(num_chains, _CLIP, dtype=np.int64)
-        present = last_flagged >= 0
-        interior = present & (last_flagged < chain_ends)
-        per_chain[present] = 0  # flagged ref is the chain's last reference
-        per_chain[interior] = suffix_max[
-            np.minimum(last_flagged[interior] + 1, n - 1)
-        ]
-        return per_ref, per_chain
-
-    is_data = (grouped_kinds == 1) | (grouped_kinds == 2)
-    sorted_res_data, chain_data = residency_thresholds(is_data)
-    if copy_back:
-        sorted_res_dirty, chain_dirty = residency_thresholds(grouped_kinds == 2)
-    else:
-        sorted_res_dirty = np.empty(0, dtype=np.int64)
-        chain_dirty = np.full(num_chains, _CLIP, dtype=np.int64)
-
-    # Survival threshold: a chain's last residency is resident at epoch end
-    # iff fewer than W other lines finish after it — survive_at <= W.
-    end_positions = line_order[chain_ends]
-    survive_at = suffix_last[end_positions] + 1
-    chain_epoch = (
-        epochs[end_positions] if epochs is not None else np.zeros(num_chains, np.int64)
-    )
-    chain_lines = lines[end_positions]
-    with_data = np.maximum(survive_at, chain_data)
-    with_dirty = np.maximum(survive_at, chain_dirty)
-
-    total_purges = len(pp)
-    purged_mask = chain_epoch < total_purges
-    final_mask = chain_epoch == total_purges
-    final_order = np.flatnonzero(final_mask)[np.argsort(survive_at[final_mask])]
-    chains = {
-        "survive_data": np.sort(with_data),
-        "survive_dirty": np.sort(with_dirty),
-        "purged_at": np.sort(survive_at[purged_mask]),
-        "purged_data": np.sort(with_data[purged_mask]),
-        "purged_dirty": np.sort(with_dirty[purged_mask]),
-        # Final-epoch chains sorted by survival threshold, so the set of
-        # survivors at any W is a prefix.
-        "final_at": survive_at[final_order],
-        "final_lines": chain_lines[final_order],
-        "final_end": end_positions[final_order],
-        "final_data": chain_data[final_order],
-        "final_dirty": chain_dirty[final_order],
-    }
-
     return _ReplayBundle(
         kinds=kinds,
         lines=lines,
@@ -583,12 +450,6 @@ def _build_replay_bundle(
         flag_or=flag_or,
         kind_counts=np.bincount(kinds, minlength=4),
         purge_positions=pp,
-        sorted_by_kind=sorted_by_kind,
-        sorted_reuse=sorted_reuse,
-        sorted_cold_crowd=sorted_cold_crowd,
-        sorted_res_data=sorted_res_data,
-        sorted_res_dirty=sorted_res_dirty,
-        chains=chains,
     )
 
 
@@ -601,86 +462,6 @@ def _push_tally(flags: np.ndarray) -> tuple[int, int, int]:
         int(np.count_nonzero(data_mask & dirty_mask)),
         int(np.count_nonzero(dirty_mask)),
     )
-
-
-def _replay_member_presorted(cache: Cache, bundle: _ReplayBundle) -> None:
-    """Measured-from-the-start replay: every counter via binary search.
-
-    With no warmup reset, each statistic is a monotone tally against the
-    associativity ``W``, answered from the bundle's sorted threshold
-    tables:
-
-    * misses per kind — references with stack distance > W;
-    * evictions — reused references at distance > W (a reused line's set is
-      necessarily full when it misses) plus cold references arriving at a
-      set already holding >= W lines;
-    * pushed-line flag counts — a residency carries DATA iff some data
-      reference opens it, counted by the first data reference after each
-      distance-> W gap, minus the flag-carrying residencies that survive
-      their epoch (threshold ``max(survive_at, chain_data)``); DIRTY comes
-      from write references the same way, and under the kernel's flag
-      model DIRTY implies DATA, so dirty-data pushes equal dirty pushes;
-    * purge pushes — end-of-epoch survivors of purged epochs.
-
-    Only the final residency write-back (at most W lines per set) leaves
-    O(log n) territory.
-    """
-    ways = cache.geometry.ways
-    search = np.searchsorted
-
-    refs = bundle.kind_counts
-    miss_by_kind = [
-        int(len(table) - search(table, ways, side="right"))
-        for table in bundle.sorted_by_kind
-    ]
-    demand = sum(miss_by_kind)
-
-    reuse = bundle.sorted_reuse
-    crowd = bundle.sorted_cold_crowd
-    rpush = int(len(reuse) - search(reuse, ways, side="right")) + int(
-        len(crowd) - search(crowd, ways, side="left")
-    )
-
-    chains = bundle.chains
-    res_data = bundle.sorted_res_data
-    res_dirty = bundle.sorted_res_dirty
-    total_data = int(len(res_data) - search(res_data, ways, side="right"))
-    total_dirty = int(len(res_dirty) - search(res_dirty, ways, side="right"))
-    survive_data = int(search(chains["survive_data"], ways, side="right"))
-    survive_dirty = int(search(chains["survive_dirty"], ways, side="right"))
-    ppush = int(search(chains["purged_at"], ways, side="right"))
-    purged_data = int(search(chains["purged_data"], ways, side="right"))
-    purged_dirty = int(search(chains["purged_dirty"], ways, side="right"))
-    data = total_data - survive_data + purged_data
-    dirty = total_dirty - survive_dirty + purged_dirty
-
-    stats = cache.stats
-    for kind, counts in enumerate(stats.counts_by_kind()):
-        counts.references += int(refs[kind])
-        counts.misses += miss_by_kind[kind]
-    stats.demand_fetches += demand
-    stats.replacement_pushes += rpush
-    stats.purge_pushes += ppush
-    stats.dirty_pushes += dirty
-    stats.data_pushes += data
-    stats.dirty_data_pushes += dirty  # DIRTY implies DATA on a cold start
-    stats.purges += len(bundle.purge_positions)
-    if len(bundle.purge_positions):
-        cache._last_write_word = -1
-
-    survivors = int(search(chains["final_at"], ways, side="right"))
-    if survivors:
-        sets = cache._sets
-        set_mask = cache.geometry.num_sets - 1
-        order = np.argsort(chains["final_end"][:survivors])
-        final_lines = chains["final_lines"][:survivors][order].tolist()
-        has_data = (chains["final_data"][:survivors][order] <= ways).tolist()
-        has_dirty = (chains["final_dirty"][:survivors][order] <= ways).tolist()
-        base = FLAG_REFERENCED
-        for line, d_flag, w_flag in zip(final_lines, has_data, has_dirty):
-            sets[line & set_mask][line] = (
-                base | (FLAG_DATA if d_flag else 0) | (FLAG_DIRTY if w_flag else 0)
-            )
 
 
 def _replay_member_vectorized(cache: Cache, bundle: _ReplayBundle, warmup: int) -> None:

@@ -35,6 +35,7 @@ from repro.core import (
     simulate,
 )
 from repro.trace import Trace, TraceMetadata
+from repro.trace.stream import _held_bytes
 
 
 def random_trace(seed, length=600, span=4096, max_size=40):
@@ -145,6 +146,25 @@ class TestReplayKernelEquivalence:
             state = [list(lines.items()) for lines in organization.cache._sets]
             results.append((report.overall, state))
         assert results[0] == results[1]
+
+    def test_one_lean_bundle_serves_every_warmup(self):
+        # Cold set-associative LRU replays with and without a warmup reset
+        # share one memoized bundle, and that bundle holds only what the
+        # stack-distance replay reads.
+        trace = random_trace(seed="bundle-footprint", length=5000)
+        make = lambda: UnifiedCache(CacheGeometry(1024, 16, associativity=2))
+        for warmup in (0, 150):
+            (generic, generic_state), (kernel, kernel_state) = reports_and_state(
+                trace, make, purge_interval=97, warmup=warmup
+            )
+            assert kernel == generic
+            assert kernel_state == generic_state
+        compiled = trace.compiled(16)
+        bundles = [
+            value for key, (value, _size) in compiled._memo.items() if key[0] == "replay"
+        ]
+        assert len(bundles) == 1
+        assert _held_bytes(bundles[0]) / len(compiled) <= 80
 
 
 # ORGANIZATIONS with the replacement factory left as a parameter, for the
