@@ -117,8 +117,12 @@ def merge_json_result(
 
 def provenance() -> dict:
     """Where a bench result was measured: the source commit (None outside
-    a git checkout), the Python and numpy versions and the CPU count."""
+    a git checkout), the Python and numpy versions, the CPU count, the
+    bench length (:func:`bench_length`; None = paper lengths) and the
+    campaign worker count this environment resolves to."""
     import numpy
+
+    from repro.campaign import worker_count
 
     try:
         commit = subprocess.run(
@@ -135,6 +139,8 @@ def provenance() -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
+        "bench_length": bench_length(),
+        "workers": worker_count(),
     }
 
 

@@ -30,6 +30,24 @@ left-half elements sorted above it.  Levels start at single elements and
 touch only the ``n`` live keys.  Timsort merges the two runs of a block in
 linear time, so the whole pass is O(n log n), all array ops.
 
+Most reuse windows are tiny (in a typical Table 1 trace half have
+``w = t − p[t] ≤ 8``), so only the long ones go to the merge; the split
+is exact, with no approximation:
+
+* **Short reuse** (``w ≤ _SHORT_WINDOW``): its count is
+  ``#{k in 1..w−3 : p[t−k] > p[t]}``, read straight from ``p``.  With
+  consecutive repeats stripped, every reference's previous occurrence
+  lies at least two back, so ``p[t−k] ≤ t−k−2``, which is at most
+  ``p[t]`` for ``k ≥ w − 2``: those offsets never count.  Sorting the
+  short reuses longest-first makes the candidates at each offset a
+  prefix, so the scan costs one gather per reuse per counted offset.
+* **Long reuse**: a short reuse ``v`` nested in its window is counted by
+  two prefix counts, ``#{short v < t} − #{short v : p[v] < p[t]}``.
+  This is exact because a short window that opens before ``p[t]`` closes
+  before ``t`` (it spans at most ``_SHORT_WINDOW < w``).  The long
+  reuses nested in the window are what the merge counts, over the long
+  reuses alone.
+
 The old pure-Python Fenwick pass (:func:`_distances_fenwick`) is kept as
 the reference implementation the oracle tests compare against.
 """
@@ -54,6 +72,11 @@ __all__ = [
 #: Sentinel distance for a cold (first-touch) reference; larger than any
 #: real capacity, so cold references miss at every finite size.
 COLD_DISTANCE = np.int64(2) ** 62
+
+#: Longest reuse window (in the repeat-free stream) counted offset by
+#: offset instead of by the merge.  Half the reuses of a typical Table 1
+#: trace have a window of at most 8, three quarters at most 32.
+_SHORT_WINDOW = 16
 
 @dataclass(frozen=True, slots=True)
 class StackDistanceProfile:
@@ -268,16 +291,74 @@ def _stack_distances_ordered(
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     if epochs is not None:
         keep[1:] |= epochs[1:] != epochs[:-1]
-    deduped = values[keep]
-    prev = _prev_occurrence(deduped, epochs[keep] if epochs is not None else None)
-    # A first touch (prev −1) is never greater than a reuse's prev, so
-    # only the reuses enter the count, and they keep their relative order.
-    reused = np.flatnonzero(prev >= 0)
-    reused_prev = prev[reused]
-    distances = np.full(len(deduped), COLD_DISTANCE, dtype=np.int64)
-    distances[reused] = reused - reused_prev - _count_left_greater(reused_prev)
-    out[keep] = distances
+    prev = _prev_occurrence(
+        values[keep], epochs[keep] if epochs is not None else None
+    )
+    out[keep] = _reuse_distances(prev)
     return out
+
+
+def _reuse_distances(prev: np.ndarray) -> np.ndarray:
+    """Stack distances of a repeat-free stream from its previous-occurrence
+    array: ``w − #{v < t : p[v] > p[t]}`` per reuse (window ``w = t − p[t]``),
+    :data:`COLD_DISTANCE` per first touch.
+
+    A first touch (prev −1) is never greater than a reuse's prev, so only
+    the reuses are counted.  Short windows (≤ :data:`_SHORT_WINDOW`) are
+    counted offset by offset; long ones take the short reuses nested in
+    them from two prefix counts and the rest from the merge (see the
+    module docstring).
+    """
+    short_max = _SHORT_WINDOW
+    distances = np.full(len(prev), COLD_DISTANCE, dtype=np.int64)
+    reused = np.flatnonzero(prev >= 0)
+    window = reused - prev[reused]
+    # One stable radix sort on a uint8 key puts the long reuses first, in
+    # time order as the merge needs, then the short ones longest-first,
+    # so the short reuses still open at each offset form a prefix.
+    key = np.minimum(window, short_max + 1).astype(np.uint8)
+    del window
+    np.subtract(short_max + 1, key, out=key)
+    order = np.argsort(key, kind="stable")
+    # wider[j]: reuses with a window of at least short_max + 1 − j.
+    wider = np.cumsum(np.bincount(key, minlength=short_max + 1))
+    del key
+    num_long = int(wider[0])
+    sorted_t = reused[order]
+    del reused
+    window = sorted_t - prev[sorted_t]
+
+    # Short reuses: with repeats stripped, the reference at offset k has
+    # its own prev at most t − k − 2, so only offsets 1 … w − 3 can count.
+    short_t = sorted_t[num_long:].copy()
+    short_p = short_t - window[num_long:]
+    counts = np.zeros(len(short_t), dtype=np.int64)
+    behind = sorted_t[num_long:]
+    for offset in range(1, short_max - 2):
+        live = int(wider[short_max - 2 - offset]) - num_long  # w ≥ offset + 3
+        if not live:
+            break
+        behind[:live] -= 1
+        counts[:live] += prev[behind[:live]] > short_p[:live]
+    distances[short_t] = window[num_long:] - counts
+    del counts, behind
+
+    # Long reuses: a short reuse v sits inside (p[t], t) with p[v] > p[t]
+    # iff v < t and not p[v] < p[t], since a short window opening before
+    # p[t] closes before t.  Reuses before t less long ones before t are
+    # the short ones before t.
+    long_t = sorted_t[:num_long].copy()
+    long_w = window[:num_long] - (order[:num_long] - np.arange(num_long))
+    del sorted_t, window, order, short_t
+    long_p = prev[long_t]
+    opens = np.zeros(len(prev), dtype=bool)
+    opens[short_p] = True
+    del short_p
+    long_w += np.cumsum(opens)[long_p]
+    del opens
+    long_w -= _count_left_greater(long_p)
+    distances[long_t] = long_w
+    return distances
 
 
 def _epochs_from_resets(n: int, resets: np.ndarray | None) -> np.ndarray | None:

@@ -20,6 +20,7 @@ from repro.core import (
     simulate,
 )
 from repro.core.stackdist import (
+    _SHORT_WINDOW,
     COLD_DISTANCE,
     StackDistanceProfile,
     _count_left_greater,
@@ -228,6 +229,22 @@ def test_count_left_greater_extremes(kernel):
     np.testing.assert_array_equal(kernel(np.arange(n) - 2), np.zeros(n))
 
 
+#: A tight loop over up to twice the split's window, repeated, or a few
+#: random lines: mixed, they put reuse windows on both sides of the split
+#: (uniform random lines alone rarely make a short window).
+_LOOPED_LINES = st.lists(
+    st.one_of(
+        st.builds(
+            lambda span, laps: [1000 + i for i in range(span)] * laps,
+            st.integers(1, 2 * _SHORT_WINDOW),
+            st.integers(1, 4),
+        ),
+        st.lists(st.integers(0, 300), max_size=8),
+    ),
+    max_size=30,
+).map(lambda chunks: [line for chunk in chunks for line in chunk])
+
+
 def _fenwick_set_distances(lines, num_sets, resets) -> np.ndarray:
     """Per-reference distances assembled from per-set, per-epoch Fenwick
     passes: cold references are each segment's first touches."""
@@ -247,15 +264,93 @@ def _fenwick_set_distances(lines, num_sets, resets) -> np.ndarray:
     return out
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    lines=st.lists(st.integers(0, 300), max_size=400),
+    lines=st.one_of(st.lists(st.integers(0, 300), max_size=400), _LOOPED_LINES),
     num_sets=st.sampled_from([1, 4, 64]),
     resets=st.one_of(st.none(), st.lists(st.integers(0, 400), max_size=6)),
 )
 def test_set_stack_distances_match_fenwick(lines, num_sets, resets):
     lines = np.asarray(lines, dtype=np.int64)
     reset_array = None if resets is None else np.array(sorted(resets), dtype=np.int64)
+    expected = _fenwick_set_distances(lines, num_sets, resets or [])
+    got = set_stack_distances(lines, num_sets, reset_array)
+    np.testing.assert_array_equal(got, expected)
+
+
+# -- the short/long reuse split ----------------------------------------------
+
+
+def _split_edge_stream() -> np.ndarray:
+    """Line stream whose reuse windows sit on both sides of the split.
+
+    Each block holds windows of exactly ``_SHORT_WINDOW − 1``, ``+ 0`` and
+    ``+ 1`` (in the repeat-free stream), each with a reuse nested at its
+    last offset that can count; short reuses nested inside a long window;
+    short windows crossing a long window's left and right edges;
+    consecutive repeats; and long reuses of the lines of the last block
+    with the same set index.  A block only touches lines of its own set
+    index (below 4), laid out contiguously, so the windows inside it are
+    the same at 1, 4 and 64 sets.
+    """
+    short = _SHORT_WINDOW
+    lines: list[int] = []
+    symbol = 0
+    previous: dict[int, list[int]] = {}
+    for set_index in (0, 1, 2, 3, 1, 0, 2):
+        names: list[int] = []
+
+        def fresh(count=1):
+            nonlocal symbol
+            symbol += count
+            return list(range(symbol - count, symbol))
+
+        for window in (short - 1, short, short + 1):
+            # The nested b reuse sits at the last offset that can count.
+            a, b, c = fresh(3)
+            names += [a, b, c, b, *fresh(window - 4), a]
+        outer, x, y, z = fresh(4)
+        names += [outer, x, y, x, y, x, z, y, *fresh(short), z, outer]
+        cross, outer, tail = fresh(3)
+        names += [cross, outer, cross, *fresh(short - 2), tail, outer, tail]
+        names += [names[3], names[3], names[3]]
+        names += previous.get(set_index, [])[:5]
+        previous[set_index] = names
+        lines += [name * 64 + set_index for name in names]
+    return np.asarray(lines, dtype=np.int64)
+
+
+def _reuse_windows(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(t, p)`` of every reuse in the repeat-free stream (one set)."""
+    deduped = lines[np.r_[True, lines[1:] != lines[:-1]]]
+    last: dict[int, int] = {}
+    reuses = []
+    for t, line in enumerate(deduped.tolist()):
+        if line in last:
+            reuses.append((t, last[line]))
+        last[line] = t
+    return np.array(reuses, dtype=np.int64).reshape(-1, 2).T
+
+
+def test_split_edge_stream_covers_both_classes():
+    t, p = _reuse_windows(_split_edge_stream())
+    windows = t - p
+    assert {_SHORT_WINDOW - 1, _SHORT_WINDOW, _SHORT_WINDOW + 1} <= set(windows)
+    short = windows <= _SHORT_WINDOW
+    assert short.any() and (~short).any()
+    nested = crossing = False
+    for tl, pl in zip(t[~short], p[~short]):
+        inside = (t[short] < tl) & (p[short] > pl)
+        nested |= bool(inside.any())
+        crossing |= bool(((p[short] < pl) & (t[short] > pl) & (t[short] < tl)).any())
+    assert nested and crossing
+
+
+@pytest.mark.parametrize("num_sets", [1, 4, 64])
+@pytest.mark.parametrize("resets", [None, [21, 22, 90, 241, 500]])
+def test_split_edges_match_fenwick(num_sets, resets):
+    lines = _split_edge_stream()
+    reset_array = None if resets is None else np.array(resets, dtype=np.int64)
     expected = _fenwick_set_distances(lines, num_sets, resets or [])
     got = set_stack_distances(lines, num_sets, reset_array)
     np.testing.assert_array_equal(got, expected)
