@@ -28,16 +28,7 @@ import sys
 
 from . import analysis
 from .analysis.table2 import table2_experiment
-from .core import (
-    CacheGeometry,
-    FetchPolicy,
-    SplitCache,
-    UnifiedCache,
-    WritePolicy,
-    WriteStrategy,
-    policy_factory,
-    simulate,
-)
+from .core import CacheGeometry, simulate
 from .trace import save_trace
 from .workloads import catalog
 
@@ -360,28 +351,29 @@ def _cmd_machines(args: argparse.Namespace) -> None:
         print(f"  ({machine.notes})")
 
 
+def _simulate_job(args: argparse.Namespace, size: int, mechanisms):
+    """The simulation job the ``simulate``/``campaign`` flags describe."""
+    from .core.jobs import MechanismStudyJob, SimulateJob
+
+    options = dict(
+        size=size,
+        line_size=args.line,
+        associativity=args.assoc,
+        replacement=args.replacement,
+        write=args.write,
+        fetch=args.fetch,
+        split=args.split,
+        purge_interval=args.purge,
+    )
+    if mechanisms is None:
+        return SimulateJob(**options)
+    return MechanismStudyJob(mechanisms=mechanisms, **options)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> None:
     trace = catalog.generate(args.trace, args.length)
     geometry = CacheGeometry(args.size, args.line, args.assoc)
-    if args.write == "copy-back":
-        write = WritePolicy(WriteStrategy.COPY_BACK, allocate_on_write=True)
-    else:
-        write = WritePolicy(WriteStrategy.WRITE_THROUGH, allocate_on_write=False)
-    fetch = FetchPolicy(args.fetch)
-    replacement = policy_factory(args.replacement)
-    config = _mechanism_config(args)
-    miss_path = config.build(args.line) if config is not None else None
-    if args.split:
-        organization = SplitCache(
-            geometry, replacement=replacement, write_policy=write,
-            fetch_policy=fetch, miss_path=miss_path,
-        )
-    else:
-        organization = UnifiedCache(
-            geometry, replacement=replacement, write_policy=write,
-            fetch_policy=fetch, miss_path=miss_path,
-        )
-    report = simulate(trace, organization, purge_interval=args.purge)
+    report = _simulate_job(args, args.size, _mechanism_config(args)).run(trace)
     stats = report.overall
     print(f"trace            : {report.trace_name} ({report.references} references)")
     print(f"cache            : {geometry.describe()}"
@@ -415,13 +407,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     import os
 
     from .campaign import run_campaign
-    from .core.jobs import (
-        CampaignCell,
-        MechanismStudyJob,
-        SimulateJob,
-        StackSweepJob,
-        TraceSpec,
-    )
+    from .core.jobs import CampaignCell, StackSweepJob, TraceSpec
     from .trace.store import TRACE_STORE_ENV
 
     if args.trace_store:
@@ -455,21 +441,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         for name in names:
             spec = TraceSpec.catalog(name, args.length)
             for size in sizes:
-                options = dict(
-                    size=size,
-                    line_size=args.line,
-                    associativity=args.assoc,
-                    replacement=args.replacement,
-                    write=args.write,
-                    fetch=args.fetch,
-                    split=args.split,
-                    purge_interval=args.purge,
-                )
-                job = (
-                    SimulateJob(**options)
-                    if mechanisms is None
-                    else MechanismStudyJob(mechanisms=mechanisms, **options)
-                )
+                job = _simulate_job(args, size, mechanisms)
                 cells.append(
                     CampaignCell(label=f"{name}/{size}", trace=spec, job=job)
                 )

@@ -14,20 +14,21 @@ instead of brute-force per-reference dispatch:
   line — with segmented prefix sums.  The distances and sort orders are
   memoized on the compiled trace view, so sweeping one trace across many
   cache sizes pays the O(n log² n) analysis once and each subsequent
-  configuration costs a few O(n) array passes.  FIFO and RANDOM
-  members use specialized dict loops (DEW's observation that FIFO needs no
-  reorder on hit makes the FIFO loop branch-free on the hit path); LRU
-  members that start warm, or write-through-no-allocate members, use the
-  original tight dict loop.  Organizations whose members are all cold,
-  allocate-on-write, direct-mapped LRU or FIFO take the miss-stream
-  replay, with or without a miss-path chain (victim/miss caches, stream
-  buffers, an L2): a direct-mapped hit is "the previous reference to this
-  set touched the same line", one O(n) classification per trace view
-  shared by every chain, and a Python loop then visits only the misses,
-  purges and the warmup reset, driving the real chain objects (or an
-  inert one).  :func:`repro.core.simulator.simulate`
-  selects the kernel automatically when :func:`can_replay` approves the
-  organization.
+  configuration costs a few O(n) array passes.  Every other LRU, FIFO or
+  RANDOM member (warm start, write-through without write-allocate,
+  set-associative FIFO, any RANDOM) takes one per-set dict loop: LRU
+  reorders on a hit, FIFO and RANDOM do not (DEW's observation), and
+  RANDOM draws its victims from the cache's own per-set generators.
+  Organizations whose members are all cold, allocate-on-write,
+  direct-mapped LRU or FIFO take the miss-stream replay, with or without
+  a miss-path chain (victim/miss caches, stream buffers, an L2): a
+  direct-mapped hit is "the previous reference to this set touched the
+  same line", one O(n) classification per trace view shared by every
+  chain, and a Python loop then visits only the misses, purges and the
+  warmup reset, driving the real chain objects (or an inert one).  All
+  three paths credit the cache's statistics through one helper.
+  :func:`repro.core.simulator.simulate` selects the kernel automatically
+  when :func:`can_replay` approves the organization.
 
 * :func:`all_associativity_hit_counts` — per-set LRU stack distances over
   a set-partitioned line stream: at a fixed set count, one pass yields the
@@ -180,10 +181,11 @@ def lru_demand_replay(
     1-way                                        chain
     LRU             cold, allocate-on-write      vectorized stack-distance
                     (any warmup)                 replay
-    LRU             warm start or no-allocate    tight dict loop
-    FIFO            any other                    dict loop, no reorder on hit
-    RANDOM          any                          dict loop, cache's own
-                                                 per-set rngs
+    LRU/FIFO/       any other                    one dict loop (LRU reorders
+    RANDOM                                       on hit; RANDOM draws from
+                                                 the cache's per-set rngs)
+    any other       —                            generic engine (rejected by
+                                                 :func:`can_replay`)
     ==============  ===========================  ===========================
 
     The first matching row wins.
@@ -290,13 +292,7 @@ def lru_demand_replay(
                 kind_list, line_list = compiled.as_lists()
             else:
                 kind_list, line_list = mkinds.tolist(), mlines.tolist()
-            if policy == "lru":
-                _replay_member(cache, kind_list, line_list, events)
-            else:
-                rngs = (
-                    [p._rng for p in cache._policies] if policy == "random" else None
-                )
-                _replay_member_queue(cache, kind_list, line_list, events, rngs)
+            _replay_member(cache, kind_list, line_list, events, policy)
 
     # Write-through accounting is per trace reference and independent of
     # cache state (no combining on the fast path), so it vectorizes over
@@ -464,6 +460,38 @@ def _push_tally(flags: np.ndarray) -> tuple[int, int, int]:
     )
 
 
+def _credit(
+    cache: Cache,
+    refs: Sequence[int],
+    misses: Sequence[int],
+    demand: int,
+    rpush: int,
+    ppush: int,
+    pushed_flags: Sequence[int] | np.ndarray,
+    purges: int,
+) -> None:
+    """Add one replay's tallies to ``cache.stats``.
+
+    ``refs`` and ``misses`` are per-kind counts (index = int(AccessKind));
+    ``demand`` is passed apart from them because a no-allocate write miss
+    fetches nothing.  ``pushed_flags`` holds the flags of every line pushed
+    by replacement or purge; :func:`_push_tally` splits them into the
+    data/dirty counters.
+    """
+    data, dirty_data, dirty = _push_tally(np.asarray(pushed_flags, dtype=np.int64))
+    stats = cache.stats
+    for kind, counts in enumerate(stats.counts_by_kind()):
+        counts.references += int(refs[kind])
+        counts.misses += int(misses[kind])
+    stats.demand_fetches += demand
+    stats.replacement_pushes += rpush
+    stats.purge_pushes += ppush
+    stats.data_pushes += data
+    stats.dirty_data_pushes += dirty_data
+    stats.dirty_pushes += dirty
+    stats.purges += purges
+
+
 def _replay_member_vectorized(cache: Cache, bundle: _ReplayBundle, warmup: int) -> None:
     """Apply one member's whole stream to a cold LRU cache in array passes.
 
@@ -543,25 +571,13 @@ def _replay_member_vectorized(cache: Cache, bundle: _ReplayBundle, warmup: int) 
         pushed_evicted = res_flags[evicted]
         pushed_purged = res_flags[purged]
         purges = total_purges
-    ppush = len(pushed_purged)
-    data_e, ddata_e, dirty_e = _push_tally(pushed_evicted)
-    data_p, ddata_p, dirty_p = _push_tally(pushed_purged)
 
     if warmup:
         cache.reset_statistics()
-    stats = cache.stats
-    for kind, counts in enumerate(stats.counts_by_kind()):
-        counts.references += int(refs[kind])
-        counts.misses += int(miss_by_kind[kind])
-    stats.demand_fetches += demand
-    stats.replacement_pushes += rpush
-    stats.purge_pushes += ppush
-    stats.dirty_pushes += dirty_e + dirty_p
-    stats.data_pushes += data_e + data_p
-    stats.dirty_data_pushes += ddata_e + ddata_p
-    stats.purges += purges
-    if total_purges:
-        cache._last_write_word = -1
+    _credit(
+        cache, refs, miss_by_kind, demand, rpush, len(pushed_purged),
+        np.concatenate([pushed_evicted, pushed_purged]), purges,
+    )
 
     # Final state: survivors of the post-last-purge epoch, inserted in
     # ascending final-touch order — per set, that is exactly the engine's
@@ -895,23 +911,12 @@ def _replay_miss_stream(
         (4 * miss_members.astype(np.int64) + miss_kinds)[measured], minlength=4 * count
     ).tolist()
     for member, cache in enumerate(members):
-        stats = cache.stats
-        demand = 0
-        for kind, counts in enumerate(stats.counts_by_kind()):
-            misses = miss_counts[4 * member + kind] + injected[member][kind]
-            counts.references += ref_counts[4 * member + kind]
-            counts.misses += misses
-            demand += misses
-        data, dirty_data, dirty = _push_tally(np.array(pushed[member], dtype=np.int64))
-        stats.demand_fetches += demand
-        stats.replacement_pushes += rpush[member]
-        stats.purge_pushes += ppush[member]
-        stats.data_pushes += data
-        stats.dirty_data_pushes += dirty_data
-        stats.dirty_pushes += dirty
-        stats.purges += purges[member]
-        if purges[member]:
-            cache._last_write_word = -1
+        slots = slice(4 * member, 4 * member + 4)
+        misses = [a + b for a, b in zip(miss_counts[slots], injected[member])]
+        _credit(
+            cache, ref_counts[slots], misses, sum(misses), rpush[member],
+            ppush[member], pushed[member], purges[member],
+        )
 
     held = [s for s in range(total_sets) if res_line[s] >= 0]
     for s, flags in zip(held, resident_flags(held)):
@@ -919,106 +924,7 @@ def _replay_miss_stream(
         members[member]._sets[s - bases[member]][res_line[s]] = flags
 
 
-# -- the dict-loop replay paths ----------------------------------------------
-
-
-def _replay_member(
-    cache: Cache,
-    kinds: list[int],
-    lines: list[int],
-    events: list[tuple[int, int, int]],
-) -> None:
-    """Tight LRU replay of one cache array's line-reference stream.
-
-    ``events`` are ``(stream_index, trace_position, tag)`` triples, sorted;
-    each fires after ``stream_index`` elements have been applied.  Covers
-    the LRU cases the vectorized path cannot: warm starting state and
-    write-through without write-allocate.
-    """
-    set_mask = cache.geometry.num_sets - 1
-    ways = cache.geometry.ways
-    copy_back = cache.write_policy.is_copy_back
-    allocate = cache.write_policy.allocate_on_write
-
-    # Per-kind flag bitmasks (index = int(AccessKind)): what a reference of
-    # that kind ORs into its line, mirroring Cache._reference_line.
-    flag_of = [
-        FLAG_REFERENCED,
-        FLAG_REFERENCED | FLAG_DATA,
-        FLAG_REFERENCED | FLAG_DATA | (FLAG_DIRTY if copy_back else 0),
-        FLAG_REFERENCED,
-    ]
-
-    # Work on plain dicts (markedly faster than OrderedDict in this loop);
-    # seeded from, and written back to, the cache's own sets so arbitrary
-    # starting state and subsequent generic accesses both stay exact.
-    sets = [dict(resident) for resident in cache._sets]
-
-    refs = [0, 0, 0, 0]
-    misses = [0, 0, 0, 0]
-    demand = rpush = ppush = dirty = data = ddata = purges = 0
-
-    start = 0
-    total = len(kinds)
-    for stop, _position, tag in [*events, (total, -1, -1)]:
-        if stop > start:
-            for kind, line in zip(kinds[start:stop], lines[start:stop]):
-                refs[kind] += 1
-                resident = sets[line & set_mask]
-                flags = resident.pop(line, None)
-                if flags is not None:
-                    # Hit: update flags and move to the LRU tail.
-                    resident[line] = flags | flag_of[kind]
-                else:
-                    misses[kind] += 1
-                    if kind == 2 and not allocate:
-                        continue  # no-allocate: the store bypasses the cache
-                    demand += 1
-                    if len(resident) >= ways:
-                        victim_flags = resident.pop(next(iter(resident)))
-                        rpush += 1
-                        if victim_flags & FLAG_DATA:
-                            data += 1
-                            if victim_flags & FLAG_DIRTY:
-                                ddata += 1
-                        if victim_flags & FLAG_DIRTY:
-                            dirty += 1
-                    resident[line] = flag_of[kind]
-            start = stop
-        if tag == _PURGE:
-            for resident in sets:
-                for victim_flags in resident.values():
-                    ppush += 1
-                    if victim_flags & FLAG_DATA:
-                        data += 1
-                        if victim_flags & FLAG_DIRTY:
-                            ddata += 1
-                    if victim_flags & FLAG_DIRTY:
-                        dirty += 1
-                resident.clear()
-            purges += 1
-            cache._last_write_word = -1
-        elif tag == _RESET:
-            refs = [0, 0, 0, 0]
-            misses = [0, 0, 0, 0]
-            demand = rpush = ppush = dirty = data = ddata = purges = 0
-            cache.reset_statistics()
-
-    stats = cache.stats
-    for kind, counts in enumerate(stats.counts_by_kind()):
-        counts.references += refs[kind]
-        counts.misses += misses[kind]
-    stats.demand_fetches += demand
-    stats.replacement_pushes += rpush
-    stats.purge_pushes += ppush
-    stats.dirty_pushes += dirty
-    stats.data_pushes += data
-    stats.dirty_data_pushes += ddata
-    stats.purges += purges
-
-    for target, resident in zip(cache._sets, sets):
-        target.clear()
-        target.update(resident)  # dict order is recency order
+# -- the dict-loop replay path -----------------------------------------------
 
 
 class _BlockedIntegers:
@@ -1061,20 +967,25 @@ class _BlockedIntegers:
             self._rng.integers(self._bound, size=self._count)
 
 
-def _replay_member_queue(
+def _replay_member(
     cache: Cache,
     kinds: list[int],
     lines: list[int],
     events: list[tuple[int, int, int]],
-    rngs: list | None,
+    policy: str,
 ) -> None:
-    """FIFO/RANDOM replay of one cache array's line-reference stream.
+    """Replay one cache array's line-reference stream through per-set dicts.
 
-    The DEW fast path: neither policy reorders on a hit, so the hit path
-    is a plain dict store (dict insertion order *is* FIFO order).  FIFO
-    evicts the insertion-order head; RANDOM draws the victim through the
-    cache's own per-set generators (``rngs``) via block-drawing
-    :class:`_BlockedIntegers` vendors — the victim sequence and the
+    ``events`` are ``(stream_index, trace_position, tag)`` triples, sorted;
+    each fires after ``stream_index`` elements have been applied.  Covers
+    every LRU/FIFO/RANDOM member the array paths cannot: warm starting
+    state, write-through without write-allocate, set-associative FIFO and
+    any RANDOM.  Dict order is the policy's order: an LRU hit pops and
+    re-inserts its line (moving it to the recency tail), while FIFO and
+    RANDOM never reorder on a hit (DEW's observation), so their hit path
+    is a plain store.  LRU and FIFO evict the dict head; RANDOM draws the
+    victim through the cache's own per-set generators via block-drawing
+    :class:`_BlockedIntegers` vendors, so the victim sequence and the
     generator state after replay are identical to scalar consumption.
     """
     set_mask = cache.geometry.num_sets - 1
@@ -1082,21 +993,30 @@ def _replay_member_queue(
     copy_back = cache.write_policy.is_copy_back
     allocate = cache.write_policy.allocate_on_write
 
+    # Per-kind flag bitmasks (index = int(AccessKind)): what a reference of
+    # that kind ORs into its line, mirroring Cache._reference_line.
     flag_of = [
         FLAG_REFERENCED,
         FLAG_REFERENCED | FLAG_DATA,
         FLAG_REFERENCED | FLAG_DATA | (FLAG_DIRTY if copy_back else 0),
         FLAG_REFERENCED,
     ]
-
-    sets = [dict(resident) for resident in cache._sets]
+    lookup = dict.pop if policy == "lru" else dict.get
     vendors = (
-        None if rngs is None else [_BlockedIntegers(rng, ways) for rng in rngs]
+        [_BlockedIntegers(p._rng, ways) for p in cache._policies]
+        if policy == "random"
+        else None
     )
+
+    # Work on plain dicts (markedly faster than OrderedDict in this loop);
+    # seeded from, and written back to, the cache's own sets so arbitrary
+    # starting state and subsequent generic accesses both stay exact.
+    sets = [dict(resident) for resident in cache._sets]
 
     refs = [0, 0, 0, 0]
     misses = [0, 0, 0, 0]
-    demand = rpush = ppush = dirty = data = ddata = purges = 0
+    pushed: list[int] = []  # flags of every pushed line
+    ppush = purges = 0
 
     start = 0
     total = len(kinds)
@@ -1105,70 +1025,48 @@ def _replay_member_queue(
             for kind, line in zip(kinds[start:stop], lines[start:stop]):
                 refs[kind] += 1
                 resident = sets[line & set_mask]
-                flags = resident.get(line)
+                flags = lookup(resident, line, None)
                 if flags is not None:
-                    resident[line] = flags | flag_of[kind]  # no reorder
+                    # An LRU lookup popped the line: this moves it to the tail.
+                    resident[line] = flags | flag_of[kind]
                 else:
                     misses[kind] += 1
-                    if kind == 2 and not allocate:
-                        continue
-                    demand += 1
+                    if not allocate and kind == _WRITE:
+                        continue  # no-allocate: the store bypasses the cache
                     if len(resident) >= ways:
                         if vendors is None:
                             victim = next(iter(resident))
                         else:
                             # Eviction only fires on a full set, so the
                             # vendor's fixed bound == len(resident) == ways.
-                            keys = list(resident)
-                            victim = keys[vendors[line & set_mask].next()]
-                        victim_flags = resident.pop(victim)
-                        rpush += 1
-                        if victim_flags & FLAG_DATA:
-                            data += 1
-                            if victim_flags & FLAG_DIRTY:
-                                ddata += 1
-                        if victim_flags & FLAG_DIRTY:
-                            dirty += 1
+                            victim = list(resident)[vendors[line & set_mask].next()]
+                        pushed.append(resident.pop(victim))
                     resident[line] = flag_of[kind]
             start = stop
         if tag == _PURGE:
             for resident in sets:
-                for victim_flags in resident.values():
-                    ppush += 1
-                    if victim_flags & FLAG_DATA:
-                        data += 1
-                        if victim_flags & FLAG_DIRTY:
-                            ddata += 1
-                    if victim_flags & FLAG_DIRTY:
-                        dirty += 1
+                ppush += len(resident)
+                pushed.extend(resident.values())
                 resident.clear()
             purges += 1
-            cache._last_write_word = -1
         elif tag == _RESET:
             refs = [0, 0, 0, 0]
             misses = [0, 0, 0, 0]
-            demand = rpush = ppush = dirty = data = ddata = purges = 0
+            pushed = []
+            ppush = purges = 0
             cache.reset_statistics()
 
     if vendors is not None:
         for vendor in vendors:
             vendor.finalize()
 
-    stats = cache.stats
-    for kind, counts in enumerate(stats.counts_by_kind()):
-        counts.references += refs[kind]
-        counts.misses += misses[kind]
-    stats.demand_fetches += demand
-    stats.replacement_pushes += rpush
-    stats.purge_pushes += ppush
-    stats.dirty_pushes += dirty
-    stats.data_pushes += data
-    stats.dirty_data_pushes += ddata
-    stats.purges += purges
+    # Every miss fetches its line except a no-allocate store's.
+    demand = sum(misses) - (0 if allocate else misses[_WRITE])
+    _credit(cache, refs, misses, demand, len(pushed) - ppush, ppush, pushed, purges)
 
     for target, resident in zip(cache._sets, sets):
         target.clear()
-        target.update(resident)  # dict order is insertion (FIFO) order
+        target.update(resident)  # dict order is the policy's order
 
 
 # -- the all-associativity one-pass kernel -----------------------------------
@@ -1238,8 +1136,10 @@ def associativity_miss_surface(
 
     One pass per *distinct set count* replaces one full simulation per
     grid cell: cells at different (ways, capacity) that share a set count
-    are read off the same :func:`all_associativity_hit_counts` pass, and
-    fully associative rows (``None``) come from the classic stack profile.
+    are read off the same :func:`all_associativity_hit_counts` pass.  A
+    fully associative row (``None``) joins the ``num_sets=1`` group as the
+    ``ways=capacity_lines`` column, sharing one pass with any other
+    single-set cells.
     Exact: equal to ``simulate(trace, UnifiedCache(CacheGeometry(capacity,
     line_size, ways)))`` miss ratios, cell for cell.
 

@@ -130,21 +130,32 @@ class TestReplayKernelEquivalence:
         assert kernel == generic
         assert kernel_state == generic_state
 
-    def test_kernel_resumes_from_existing_state(self):
+    @pytest.mark.parametrize("purge_interval", [None, 71])
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+    def test_kernel_resumes_from_existing_state(self, policy, purge_interval):
         # A warm cache fed to the kernel must behave exactly like the same
-        # warm cache fed to the generic engine (the kernel seeds its dicts
-        # from, and writes them back to, the organization's own sets).
+        # warm cache fed to the generic engine: the dict loop seeds its
+        # dicts from, and writes them back to, the organization's own sets,
+        # and RANDOM continues drawing from the cache's own generators.
         first = random_trace(seed="warm-a", length=300)
         second = random_trace(seed="warm-b", length=300)
         results = []
         for engine in ("generic", "kernel"):
-            organization = UnifiedCache(CacheGeometry(512, 16, associativity=2))
+            organization = UnifiedCache(
+                CacheGeometry(512, 16, associativity=2),
+                replacement=policy_factory(policy, seed=5),
+            )
             simulate(first, organization, engine=engine)
             report = simulate(
-                second, organization, engine=engine, purge_interval=71, allow_warm=True
+                second,
+                organization,
+                engine=engine,
+                purge_interval=purge_interval,
+                allow_warm=True,
             )
             state = [list(lines.items()) for lines in organization.cache._sets]
-            results.append((report.overall, state))
+            rngs = _rng_states(organization) if policy == "random" else None
+            results.append((report.overall, state, rngs))
         assert results[0] == results[1]
 
     def test_one_lean_bundle_serves_every_warmup(self):
@@ -267,23 +278,6 @@ class TestPolicyKernelEquivalence:
             simulate(trace, organization, engine=engine)
             states.append(_rng_states(organization))
         assert states[0] == states[1]
-
-    def test_fifo_kernel_resumes_from_existing_state(self):
-        first = random_trace(seed="fifo-warm-a", length=300)
-        second = random_trace(seed="fifo-warm-b", length=300)
-        results = []
-        for engine in ("generic", "kernel"):
-            organization = UnifiedCache(
-                CacheGeometry(512, 16, associativity=2),
-                replacement=policy_factory("fifo"),
-            )
-            simulate(first, organization, engine=engine)
-            report = simulate(
-                second, organization, engine=engine, purge_interval=71, allow_warm=True
-            )
-            state = [list(lines.items()) for lines in organization.cache._sets]
-            results.append((report.overall, state))
-        assert results[0] == results[1]
 
 
 class TestKernelSelection:
