@@ -111,7 +111,6 @@ def associativity_study(
     length: int | None = None,
     workers: int | None = None,
     cache=None,
-    sampling=None,
 ) -> AssociativityStudy:
     """Run the associativity sweep.
 
@@ -126,9 +125,6 @@ def associativity_study(
         length: references per trace.
         workers / cache: forwarded to :func:`repro.campaign.run_campaign`
             (parallelism and on-disk memoization).
-        sampling: optional :class:`~repro.sampling.plans.SamplingPlan`
-            (:class:`SetSampling` is exact per kept set here); surfaces
-            then hold point estimates.
 
     Returns:
         The assembled study.
@@ -145,9 +141,7 @@ def associativity_study(
     ]
     # Strict mode: every workload's surface is required, so a failed cell
     # raises after its siblings are cached.
-    result = run_campaign(
-        cells, workers=workers, cache=cache, raise_on_error=True, sampling=sampling
-    )
+    result = run_campaign(cells, workers=workers, cache=cache, raise_on_error=True)
     miss = {
         outcome.label: np.asarray(outcome.value, dtype=float)
         for outcome in result.outcomes

@@ -63,10 +63,6 @@ class Table1Result:
     sizes: tuple[int, ...]
     curves: dict[str, MissRatioCurve]
     trace_length: int
-    #: Per-trace :class:`~repro.sampling.estimators.SamplingInfo` when the
-    #: experiment ran sampled (curves then hold point estimates); empty
-    #: otherwise.
-    sampling: dict[str, object] = None  # type: ignore[assignment]
 
     def group_average(self, group: str) -> np.ndarray:
         """Mean miss-ratio curve over a catalog group.
@@ -137,7 +133,6 @@ def table1_experiment(
     length: int | None = None,
     workers: int | None = None,
     cache=None,
-    sampling=None,
 ) -> Table1Result:
     """Run the Table 1 sweep (one campaign cell per trace).
 
@@ -148,9 +143,6 @@ def table1_experiment(
         workers: campaign worker processes (default: ``REPRO_WORKERS`` or
             the CPU count).
         cache: campaign result cache (see :func:`repro.campaign.run_campaign`).
-        sampling: optional :class:`~repro.sampling.plans.SamplingPlan`; the
-            sweep then runs sampled, the curves hold point estimates, and
-            :attr:`Table1Result.sampling` carries the per-trace intervals.
 
     Returns:
         The collected curves.
@@ -164,15 +156,10 @@ def table1_experiment(
     # Strict mode: the curves are consumed positionally, so a failed cell
     # must raise (after every sibling has completed and been cached — a
     # re-run then only re-executes the failure).
-    result = run_campaign(
-        cells, workers=workers, cache=cache, raise_on_error=True, sampling=sampling
-    )
+    result = run_campaign(cells, workers=workers, cache=cache, raise_on_error=True)
     curves: dict[str, MissRatioCurve] = {}
-    sampling_info: dict[str, object] = {}
     used_length = 0
     for name, outcome in zip(names, result.outcomes):
         curves[name] = MissRatioCurve(name, tuple(sizes), outcome.value)
-        if outcome.sampling is not None:
-            sampling_info[name] = outcome.sampling
         used_length = max(used_length, outcome.references)
-    return Table1Result(tuple(sizes), curves, used_length, sampling_info)
+    return Table1Result(tuple(sizes), curves, used_length)

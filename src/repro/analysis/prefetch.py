@@ -337,7 +337,6 @@ def prefetch_study(
     length: int | None = None,
     workers: int | None = None,
     cache=None,
-    sampling=None,
     include_stream: bool = True,
 ) -> PrefetchStudyResult:
     """Run the full prefetch study (4-6 simulations per workload per size).
@@ -353,11 +352,6 @@ def prefetch_study(
         workers: campaign worker processes (default: ``REPRO_WORKERS`` or
             the CPU count).
         cache: campaign result cache (see :func:`repro.campaign.run_campaign`).
-        sampling: optional :class:`~repro.sampling.plans.IntervalSampling`;
-            the simulations then run sampled (miss ratios and traffic are
-            point estimates extrapolated to the full trace; cold-start
-            bias bounds are heuristic under prefetching — see
-            ``docs/sampling.md``).
         include_stream: also run ``fetch="stream"`` — demand fetch backed
             by default miss-path stream buffers — as a third policy
             (Section 3.5 rerun; 2 extra cells per workload per size).
@@ -391,9 +385,7 @@ def prefetch_study(
                     )
     # Strict mode: reports are consumed positionally below, so a failed
     # cell raises after its siblings are cached.
-    campaign = run_campaign(
-        cells, workers=workers, cache=cache, raise_on_error=True, sampling=sampling
-    )
+    campaign = run_campaign(cells, workers=workers, cache=cache, raise_on_error=True)
     reports = iter(campaign.outcomes)
 
     suffixes = {"demand": "demand", "prefetch-always": "prefetch", "stream": "stream"}

@@ -88,7 +88,6 @@ def figures_3_and_4(
     length: int | None = None,
     workers: int | None = None,
     cache=None,
-    sampling=None,
 ) -> SplitMissRatioResult:
     """Run the split-cache miss-ratio sweeps (two campaign cells per
     workload: one per cache side).
@@ -102,8 +101,6 @@ def figures_3_and_4(
         workers: campaign worker processes (default: ``REPRO_WORKERS`` or
             the CPU count).
         cache: campaign result cache (see :func:`repro.campaign.run_campaign`).
-        sampling: optional :class:`~repro.sampling.plans.SamplingPlan`; the
-            side sweeps then run sampled (curves hold point estimates).
 
     Returns:
         Curves for both figures.
@@ -134,9 +131,7 @@ def figures_3_and_4(
             cells.append(CampaignCell(label=f"{label}:{side}", trace=spec, job=job))
     # Strict mode: curves are consumed positionally (two cells per
     # workload), so a failed cell raises after its siblings are cached.
-    result = run_campaign(
-        cells, workers=workers, cache=cache, raise_on_error=True, sampling=sampling
-    )
+    result = run_campaign(cells, workers=workers, cache=cache, raise_on_error=True)
     instruction: dict[str, MissRatioCurve] = {}
     data: dict[str, MissRatioCurve] = {}
     outcome = iter(result.outcomes)

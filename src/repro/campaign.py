@@ -245,10 +245,6 @@ class CellOutcome:
         key: the cell's content-hash cache key.
         error: why the cell failed, or ``None`` on success.
         attempts: execution attempts made (1 = first try succeeded).
-        sampling: the :class:`~repro.sampling.estimators.SamplingInfo`
-            describing how the value was estimated, when the cell ran
-            under a sampling plan (``value`` then holds point estimates);
-            ``None`` for exact cells.
     """
 
     cell: CampaignCell
@@ -259,7 +255,6 @@ class CellOutcome:
     key: str
     error: CellError | None = None
     attempts: int = 1
-    sampling: object | None = None
 
     @property
     def label(self) -> str:
@@ -427,29 +422,6 @@ def _resolve_events(events) -> tuple[EventLog | None, bool]:
     return EventLog(events), True
 
 
-def _wrap_sampled(cells: list[CampaignCell], sampling) -> list[CampaignCell]:
-    """Wrap every cell's job in a :class:`SampledJob` carrying ``sampling``.
-
-    Imported late so the core campaign machinery has no dependency on
-    :mod:`repro.sampling`; cells already sampled are left untouched.
-    """
-    from .sampling.jobs import SampledJob
-
-    wrapped = []
-    for cell in cells:
-        if isinstance(cell.job, SampledJob):
-            wrapped.append(cell)
-        else:
-            wrapped.append(
-                CampaignCell(
-                    label=cell.label,
-                    trace=cell.trace,
-                    job=SampledJob(cell.job, sampling),
-                )
-            )
-    return wrapped
-
-
 def _prime_trace_store(pending: list[CampaignCell], log: EventLog | None) -> None:
     """Make sure each distinct catalog trace is in the store, before the fan-out.
 
@@ -529,7 +501,6 @@ def run_campaign(
     timeout: float | None = None,
     events: EventLog | str | Path | None = None,
     runner: Callable[[CampaignCell], CellResult] = run_cell,
-    sampling=None,
 ) -> CampaignResult:
     """Execute a campaign: every cell, in parallel, memoized on disk.
 
@@ -563,16 +534,6 @@ def run_campaign(
             ``None`` to use ``REPRO_EVENT_LOG`` (no log if unset).
         runner: the per-cell execution function (the fault-injection seam
             used by the tests; must be picklable for pool execution).
-        sampling: a :class:`~repro.sampling.plans.SamplingPlan`
-            (:class:`IntervalSampling` or :class:`SetSampling`).  Every
-            cell's job is wrapped in a
-            :class:`~repro.sampling.jobs.SampledJob` so the campaign runs
-            sampled: outcomes carry point estimates as their values plus a
-            ``sampling`` info block (estimate ± CI per metric, sampled
-            reference counts), and the same fields land in the event log.
-            The plan enters the cache key, keeping sampled and exact
-            results separate.  All plan randomness is seeded, so results
-            stay bit-identical across worker counts.
 
     Returns:
         A :class:`CampaignResult` whose outcomes are in submission order —
@@ -586,8 +547,6 @@ def run_campaign(
     from .service.scheduler import Scheduler, cell_event
 
     cells = list(cells)
-    if sampling is not None:
-        cells = _wrap_sampled(cells, sampling)
     count = worker_count(workers)
     store = _resolve_cache(cache)
     started = time.perf_counter()
@@ -628,7 +587,6 @@ def run_campaign(
             key=key,
             error=None if ok else payload,
             attempts=max(1, attempts),
-            sampling=payload.sampling if ok else None,
         )
         while (progress is not None and reported < len(outcomes)
                and outcomes[reported] is not None):

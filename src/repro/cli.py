@@ -39,18 +39,6 @@ def _sizes(argument: str) -> list[int]:
     return [int(token) for token in argument.split(",")]
 
 
-def _sampling_arg(argument: str):
-    """``--sampling`` value: a fraction, or the literal ``representative``."""
-    if argument.strip().lower() == "representative":
-        return "representative"
-    try:
-        return float(argument)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a fraction in (0, 1] or 'representative', got {argument!r}"
-        ) from None
-
-
 def _add_length(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--length", type=int, default=None,
@@ -186,30 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-cell wall-time limit, pool mode only "
                    "(default: REPRO_CELL_TIMEOUT or none)")
-    p.add_argument("--sampling", type=_sampling_arg, default=None,
-                   metavar="FRACTION|representative",
-                   help="run the campaign sampled: a fraction measures "
-                   "roughly that share of each trace's references; "
-                   "'representative' clusters fixed windows by behavior "
-                   "and replays one weighted medoid window per cluster "
-                   "(see docs/sampling.md)")
-    p.add_argument("--sampling-window", type=int, default=2000,
-                   help="references per sampled window (default 2000)")
-    p.add_argument("--clusters", type=int, default=8,
-                   help="behavioral clusters for --sampling representative "
-                   "(default 8)")
-    p.add_argument("--sampling-mode", default="systematic",
-                   choices=["systematic", "random", "stratified"],
-                   help="how sampled windows are chosen")
-    p.add_argument("--sampling-warmup", default="discard",
-                   choices=["cold", "discard", "stitch"],
-                   help="cold-start handling per sampled window")
-    p.add_argument("--sampling-seed", type=int, default=0,
-                   help="seed for window choice and the bootstrap")
-    p.add_argument("--target-error", type=float, default=None, metavar="REL",
-                   help="error budget: grow the sample until every CI "
-                   "half-width is within REL of its estimate "
-                   "(implies --sampling; default start fraction 0.05)")
     _add_length(p)
 
     p = sub.add_parser(
@@ -448,39 +412,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     cache = False if args.no_cache else (args.cache_dir or None)
 
-    plan = None
-    if args.sampling == "representative":
-        if args.target_error is not None:
-            raise SystemExit(
-                "--target-error calibrates interval plans; representative "
-                "sampling reports a fixed deterministic bound instead"
-            )
-        from .sampling import RepresentativeSampling
-
-        plan = RepresentativeSampling(
-            clusters=args.clusters,
-            window=args.sampling_window,
-            seed=args.sampling_seed,
-        )
-    elif args.sampling is not None or args.target_error is not None:
-        from .sampling import IntervalSampling
-
-        plan = IntervalSampling(
-            fraction=args.sampling if args.sampling is not None else 0.05,
-            window=args.sampling_window,
-            mode=args.sampling_mode,
-            warmup=args.sampling_warmup,
-            seed=args.sampling_seed,
-            target_rel_err=args.target_error,
-        )
-
     if args.remote is not None:
-        if args.target_error is not None:
-            raise SystemExit(
-                "--target-error calibration runs locally; use a fixed "
-                "--sampling fraction (or 'representative') with --remote"
-            )
-        return _run_remote_campaign(args, cells, sizes, mechanisms, plan)
+        return _run_remote_campaign(args, cells, sizes, mechanisms)
 
     progress = None
     if args.verbose:
@@ -500,71 +433,31 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     result = run_campaign(
         cells, workers=args.workers, cache=cache, progress=progress,
         retries=args.retries, timeout=args.timeout, events=args.events,
-        sampling=plan,
     )
 
     kind = "stack sweep" if args.stack else "simulation"
-    if plan is not None:
-        # Sampled campaigns render estimate ± CI cells.
-        rows = []
-        if args.stack:
-            for outcome in result.outcomes:
-                cells_text = (
-                    [str(e) for e in outcome.sampling.estimates]
-                    if outcome.ok
-                    else ["failed"] * len(sizes)
-                )
-                rows.append((outcome.label, *cells_text))
-        else:
-            by_name: dict[str, list[str]] = {}
-            for outcome in result.outcomes:
-                name = outcome.label.rsplit("/", 1)[0]
-                by_name.setdefault(name, []).append(
-                    str(outcome.sampling.estimates[0]) if outcome.ok else "failed"
-                )
-            rows = [(name, *cells_text) for name, cells_text in by_name.items()]
-        print(analysis.render_table(
-            ["trace \\ bytes", *[str(s) for s in sizes]], rows,
-            title=f"Sampled campaign miss ratios ({kind}, "
-            f"{int(plan.confidence * 100)}% CI)",
-        ))
-        sampled = [o.sampling for o in result.outcomes if o.ok and o.sampling]
-        if sampled:
-            fraction = sum(s.sampled_fraction for s in sampled) / len(sampled)
-            replayed = sum(s.replayed_references for s in sampled)
-            total = sum(s.total_references for s in sampled)
-            print()
-            print(f"sampled {fraction:.1%} of references per cell on average "
-                  f"({replayed:,} replayed of {total:,} represented)")
-            rounds = max(s.calibration_rounds for s in sampled)
-            if args.target_error is not None:
-                met = sum(1 for s in sampled if s.target_met)
-                print(f"error budget {args.target_error:g}: met in "
-                      f"{met}/{len(sampled)} cell(s), "
-                      f"up to {rounds} calibration round(s)")
+    # Failed cells render as NaN so partial campaigns still tabulate.
+    series: dict[str, list[float]] = {}
+    if args.stack:
+        for outcome in result.outcomes:
+            series[outcome.label] = (
+                list(outcome.value) if outcome.ok else [float("nan")] * len(sizes)
+            )
     else:
-        # Failed cells render as NaN so partial campaigns still tabulate.
-        series: dict[str, list[float]] = {}
-        if args.stack:
-            for outcome in result.outcomes:
-                series[outcome.label] = (
-                    list(outcome.value) if outcome.ok else [float("nan")] * len(sizes)
-                )
-        else:
-            for outcome in result.outcomes:
-                name = outcome.label.rsplit("/", 1)[0]
-                series.setdefault(name, []).append(
-                    (outcome.value.effective_miss_ratio
-                     if mechanisms is not None
-                     else outcome.value.miss_ratio)
-                    if outcome.ok else float("nan")
-                )
-        if mechanisms is not None:
-            kind += ", effective miss ratio with miss-path mechanisms"
-        print(analysis.render_series(
-            "trace \\ bytes", sizes, series,
-            title=f"Campaign miss ratios ({kind})",
-        ))
+        for outcome in result.outcomes:
+            name = outcome.label.rsplit("/", 1)[0]
+            series.setdefault(name, []).append(
+                (outcome.value.effective_miss_ratio
+                 if mechanisms is not None
+                 else outcome.value.miss_ratio)
+                if outcome.ok else float("nan")
+            )
+    if mechanisms is not None:
+        kind += ", effective miss ratio with miss-path mechanisms"
+    print(analysis.render_series(
+        "trace \\ bytes", sizes, series,
+        title=f"Campaign miss ratios ({kind})",
+    ))
     print()
     print(result.summary())
     if result.failed_cells:
@@ -574,9 +467,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_remote_campaign(
-    args: argparse.Namespace, cells, sizes, mechanisms, sampling=None
-) -> int:
+def _run_remote_campaign(args: argparse.Namespace, cells, sizes, mechanisms) -> int:
     """Submit a campaign to a running service and tail its SSE stream."""
     import os
 
@@ -610,9 +501,7 @@ def _run_remote_campaign(
                   file=sys.stderr, flush=True)
 
     try:
-        campaign_id = client.submit_cells(
-            cells, priority=args.priority, sampling=sampling
-        )
+        campaign_id = client.submit_cells(cells, priority=args.priority)
         print(f"submitted campaign {campaign_id} to {url} "
               f"({total} cells)", file=sys.stderr)
         final = client.wait(campaign_id, on_event=on_event)

@@ -72,7 +72,8 @@ __all__ = [
 #: stratified plan selects for equal parameters.
 #: Version 6: catalog and mix cells are keyed by their traces' content
 #: digests (parameters + generator version), not by name and length alone.
-CACHE_SCHEMA_VERSION = 6
+#: Version 7: :class:`CellResult` lost its ``sampling`` field.
+CACHE_SCHEMA_VERSION = 7
 
 _WRITE_POLICIES = {
     "copy-back": WritePolicy(WriteStrategy.COPY_BACK, allocate_on_write=True),
@@ -273,9 +274,6 @@ class SimulateJob:
     :func:`repro.core.simulator.simulate` and is *excluded* from the cache
     identity: every engine produces an identical report, so forcing
     ``"generic"`` (or ``"kernel"``) must hit the same cached cell.
-    ``allow_warm`` is likewise excluded — it only relaxes the fresh-
-    organization guard (the organization built here is always fresh, so
-    results cannot differ).
     """
 
     size: int
@@ -289,7 +287,6 @@ class SimulateJob:
     limit: int | None = None
     warmup: int = 0
     engine: str = "auto"
-    allow_warm: bool = False
 
     def _miss_path(self):
         """Components to attach to the organization (None in the base job)."""
@@ -319,7 +316,6 @@ class SimulateJob:
             limit=self.limit,
             warmup=self.warmup,
             engine=self.engine,
-            allow_warm=self.allow_warm,
         )
 
     def identity(self) -> dict:
@@ -344,7 +340,7 @@ class MechanismStudyJob(SimulateJob):
     """A :class:`SimulateJob` with miss-path mechanisms attached.
 
     The :class:`~repro.core.misspath.MechanismConfig` *is* part of the
-    cell identity (unlike ``engine``/``allow_warm``): a victim-cache run
+    cell identity (unlike ``engine``): a victim-cache run
     and the bare baseline are different experiments.  The job name also
     changes to ``"mechanism-study"`` so even an inactive config never
     aliases a plain simulate cell.
@@ -457,15 +453,11 @@ class CellResult:
         references: references replayed (throughput denominator).
         wall_seconds: execution time inside the worker, trace build
             included (not cached — a cache hit reports 0.0).
-        sampling: a :class:`~repro.sampling.estimators.SamplingInfo` when
-            the cell ran under a sampling plan (``value`` then holds point
-            estimates shaped like the exact payload); ``None`` otherwise.
     """
 
     value: SimulationReport | tuple[float, ...] | tuple[tuple[float, ...], ...]
     references: int
     wall_seconds: float
-    sampling: object | None = None
 
 
 @dataclass(frozen=True)
@@ -514,15 +506,8 @@ def run_cell(cell: CampaignCell) -> CellResult:
     start = time.perf_counter()
     trace = cell.trace.build()
     value = cell.job.run(trace)
-    # A sampled job returns a value carrying its own sampling info; the
-    # hook is duck-typed so this core module never imports repro.sampling.
-    sampling = None
-    unwrap = getattr(value, "unwrap_for_cell", None)
-    if unwrap is not None:
-        value, sampling = unwrap()
     return CellResult(
         value=value,
         references=len(trace),
         wall_seconds=time.perf_counter() - start,
-        sampling=sampling,
     )

@@ -148,9 +148,8 @@ def simulate(
             counters — is rejected unless ``allow_warm=True``, because
             silent reuse double-counts state across runs.
         allow_warm: accept a previously used organization (deliberate
-            functional-warming setups, e.g. the sampling engine's stitch
-            mode, which resets statistics but keeps contents between
-            windows).
+            warm-start setups that reset statistics but keep contents
+            between runs).
         purge_interval: purge the cache every this many references, after
             the references are applied (so an interval equal to the trace
             length purges once, at the end — matching the paper's

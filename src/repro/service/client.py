@@ -24,7 +24,7 @@ import os
 from http.client import HTTPConnection
 from urllib.parse import urlsplit
 
-from .spec import encode_cells, encode_sampling
+from .spec import encode_cells
 
 __all__ = ["ServiceError", "ServiceClient", "SERVICE_URL_ENV"]
 
@@ -96,17 +96,9 @@ class ServiceClient:
         document.setdefault("user", self.user)
         return self._request("POST", "/campaigns", document)["id"]
 
-    def submit_cells(self, cells, *, priority: int = 0, sampling=None) -> str:
-        """Encode and submit :class:`~repro.core.jobs.CampaignCell` objects.
-
-        ``sampling`` (a plan from :mod:`repro.sampling.plans`) asks the
-        service to run every cell under that plan, exactly like
-        ``run_campaign(..., sampling=plan)`` locally.
-        """
-        document = {"cells": encode_cells(cells), "priority": priority}
-        if sampling is not None:
-            document["sampling"] = encode_sampling(sampling)
-        return self.submit(document)
+    def submit_cells(self, cells, *, priority: int = 0) -> str:
+        """Encode and submit :class:`~repro.core.jobs.CampaignCell` objects."""
+        return self.submit({"cells": encode_cells(cells), "priority": priority})
 
     def status(self, campaign_id: str) -> dict:
         """Status counts, plus merged results once the campaign is done."""
@@ -159,7 +151,7 @@ class ServiceClient:
                     pass
         return self.status(campaign_id)
 
-    def run(self, cells, *, priority: int = 0, sampling=None, on_event=None) -> dict:
+    def run(self, cells, *, priority: int = 0, on_event=None) -> dict:
         """Submit cells and wait: the one-call remote campaign."""
-        campaign_id = self.submit_cells(cells, priority=priority, sampling=sampling)
+        campaign_id = self.submit_cells(cells, priority=priority)
         return self.wait(campaign_id, on_event=on_event)

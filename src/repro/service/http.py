@@ -5,11 +5,9 @@ web framework, three endpoints:
 
 * ``POST /campaigns`` — submit a campaign spec
   (:func:`repro.service.spec.decode_cells` document, plus optional
-  ``user``, ``priority`` and ``sampling`` top-level fields; a sampling
-  document wraps every cell's job in a
-  :class:`~repro.sampling.jobs.SampledJob`).  Replies ``202`` with the
-  campaign id, ``400`` on a malformed spec, ``429`` when the user is
-  over quota.
+  ``user`` and ``priority`` top-level fields).  Replies ``202`` with the
+  campaign id, ``400`` on a malformed spec or any other top-level field,
+  ``429`` when the user is over quota.
 * ``GET /campaigns/{id}`` — status counts, and the merged results
   array once the campaign is done.  ``404`` for unknown ids.
 * ``DELETE /campaigns/{id}`` — cancel a queued or running campaign.
@@ -42,7 +40,7 @@ import threading
 
 from .queue import QuotaExceeded
 from .scheduler import Scheduler
-from .spec import SpecError, decode_cells, decode_sampling
+from .spec import SpecError, decode_cells
 
 __all__ = ["ServiceServer", "BackgroundServer", "serve"]
 
@@ -233,11 +231,6 @@ class ServiceServer:
             if not isinstance(document, dict):
                 raise SpecError("campaign spec must be a JSON object")
             cells = decode_cells(document)
-            if document.get("sampling") is not None:
-                from ..campaign import _wrap_sampled
-
-                plan = decode_sampling(document["sampling"])
-                cells = _wrap_sampled(cells, plan)
         except SpecError as exc:
             await self._respond(writer, 400, {"error": str(exc)})
             return

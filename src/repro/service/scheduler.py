@@ -62,7 +62,7 @@ from ..campaign import EventLog, ResultCache, _resolve_cache
 from ..core.jobs import CampaignCell, CellError, CellResult, cell_key
 from .backends import BackendCrash, CellExecutionError, CellPreempted
 from .queue import FairShareQueue, QueueEntry, QuotaExceeded
-from .spec import summarize_sampling, summarize_value
+from .spec import summarize_value
 
 __all__ = [
     "QUOTA_ENV",
@@ -169,7 +169,6 @@ def cell_event(
         "references": payload.references,
         "refs_per_second": payload.references / wall if wall > 0 else 0.0,
         "attempts": attempts,
-        **summarize_sampling(payload.sampling),
     }
 
 
@@ -639,7 +638,6 @@ class Scheduler:
                 references=payload.references,
                 wall_seconds=fields["wall_seconds"],
                 value=summarize_value(payload.value),
-                **summarize_sampling(payload.sampling),
             )
         state.outcomes[index] = outcome
         self._emit(state, event, **fields)

@@ -43,22 +43,13 @@ from ..core.jobs import (
 )
 from ..core.misspath import MechanismConfig
 from ..core.simulator import SimulationReport
-from ..sampling.engine import SampledReport
-from ..sampling.plans import (
-    IntervalSampling,
-    RepresentativeSampling,
-    SamplingPlan,
-    SetSampling,
-)
 
 __all__ = [
     "SpecError",
     "MAX_CELLS_DEFAULT",
+    "CAMPAIGN_FIELDS",
     "encode_cells",
     "decode_cells",
-    "encode_sampling",
-    "decode_sampling",
-    "summarize_sampling",
     "summarize_value",
 ]
 
@@ -70,6 +61,11 @@ class SpecError(ValueError):
 #: Default ceiling on cells per submitted campaign (guards the service
 #: against a single request monopolizing the backend).
 MAX_CELLS_DEFAULT = 4096
+
+#: The only top-level fields of a campaign spec document; anything else
+#: (a misspelled ``priorty``, a retired option) is a :class:`SpecError`,
+#: never silently ignored.
+CAMPAIGN_FIELDS = frozenset({"cells", "user", "priority"})
 
 
 # --------------------------- trace specs ---------------------------
@@ -223,105 +219,6 @@ def _decode_job(doc: dict):
     raise SpecError(f"unknown job type {kind!r}")
 
 
-# ---------------------------- sampling ----------------------------
-
-def encode_sampling(plan: SamplingPlan) -> dict:
-    """Render a sampling plan as its JSON wire document.
-
-    The wire format *is* the plan's cache-key identity
-    (``plan.identity()``), so a client and the service agree on the cell
-    keys a sampled campaign produces.
-    """
-    return plan.identity()
-
-
-def _plan_kwargs(doc: dict, fields: dict) -> dict:
-    kwargs = {}
-    for name, convert in fields.items():
-        if name in doc and doc[name] is not None:
-            kwargs[name] = convert(doc[name])
-    return kwargs
-
-
-_INTERVAL_PLAN_FIELDS = dict(
-    fraction=float,
-    window=int,
-    mode=str,
-    warmup=str,
-    warmup_fraction=float,
-    strata=int,
-    seed=int,
-    confidence=float,
-    bootstrap=int,
-    target_rel_err=float,
-    max_fraction=float,
-    growth=float,
-)
-
-_SET_PLAN_FIELDS = dict(
-    bits=int,
-    keep=int,
-    seed=int,
-    confidence=float,
-    bootstrap=int,
-)
-
-_REPRESENTATIVE_PLAN_FIELDS = dict(
-    clusters=int,
-    window=int,
-    seed=int,
-    confidence=float,
-    iterations=int,
-)
-
-
-def decode_sampling(doc) -> SamplingPlan:
-    """Reconstruct a sampling plan from its wire document.
-
-    Raises :class:`SpecError` on unknown plan families or invalid
-    parameters (the dataclass validators' ``ValueError`` is re-raised as
-    a spec error so the server maps it to a 400).
-    """
-    if not isinstance(doc, dict):
-        raise SpecError("sampling spec must be an object")
-    family = doc.get("plan")
-    try:
-        if family == "interval":
-            return IntervalSampling(**_plan_kwargs(doc, _INTERVAL_PLAN_FIELDS))
-        if family == "set":
-            return SetSampling(**_plan_kwargs(doc, _SET_PLAN_FIELDS))
-        if family == "representative":
-            return RepresentativeSampling(
-                **_plan_kwargs(doc, _REPRESENTATIVE_PLAN_FIELDS)
-            )
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"sampling spec is malformed: {exc}") from None
-    raise SpecError(f"unknown sampling plan {family!r}")
-
-
-def summarize_sampling(info) -> dict:
-    """JSON-able summary of a cell's :class:`SamplingInfo` (or ``None``)."""
-    if info is None:
-        return {}
-    return {
-        "sampling": {
-            "plan": info.plan,
-            "unit": info.unit,
-            "units_sampled": info.units_sampled,
-            "units_total": info.units_total,
-            "sampled_references": info.measured_references,
-            "replayed_references": info.replayed_references,
-            "total_references": info.total_references,
-            "calibration_rounds": info.calibration_rounds,
-            "target_met": info.target_met,
-            "estimates": [
-                {"value": _finite(e.value), "ci": [_finite(e.ci_low), _finite(e.ci_high)]}
-                for e in info.estimates
-            ],
-        }
-    }
-
-
 # ------------------------------ cells ------------------------------
 
 def encode_cells(cells) -> list[dict]:
@@ -342,8 +239,14 @@ def decode_cells(document, *, max_cells: int = MAX_CELLS_DEFAULT) -> list[Campai
     Accepts either the full ``{"cells": [...]}`` document or the bare
     cell list.  Raises :class:`SpecError` on anything malformed, unknown,
     or over the ``max_cells`` ceiling — the server maps that to a 400.
+    A full document may carry only the :data:`CAMPAIGN_FIELDS`.
     """
     if isinstance(document, dict):
+        unknown = sorted(set(document) - CAMPAIGN_FIELDS)
+        if unknown:
+            raise SpecError(
+                "unknown campaign field(s): " + ", ".join(map(repr, unknown))
+            )
         document = document.get("cells")
     if not isinstance(document, list) or not document:
         raise SpecError("campaign spec needs a non-empty 'cells' list")
@@ -382,9 +285,6 @@ def summarize_value(value) -> dict:
     * :class:`SimulationReport` → miss ratios (overall / instruction /
       data, plus ``effective`` and per-mechanism blocks when a miss path
       was attached), references, and memory traffic;
-    * :class:`~repro.sampling.engine.SampledReport` → the same ratio
-      block with point estimates (intervals ride on the cell's sampling
-      summary, see :func:`summarize_sampling`);
     * stack-sweep tuples → ``{"curve": [...]}``;
     * associativity surfaces → ``{"surface": [[...], ...]}``.
     """
@@ -408,16 +308,6 @@ def summarize_value(value) -> dict:
                 for name, stats in value.mechanisms
             }
         return summary
-    if isinstance(value, SampledReport):
-        return {
-            "type": "sampled-report",
-            "trace": value.trace_name,
-            "references": value.references,
-            "miss_ratio": _finite(value.miss_ratio),
-            "instruction_miss_ratio": _finite(value.instruction_miss_ratio),
-            "data_miss_ratio": _finite(value.data_miss_ratio),
-            "memory_traffic_bytes": value.overall.memory_traffic_bytes,
-        }
     if isinstance(value, tuple) and value and isinstance(value[0], tuple):
         return {
             "type": "surface",

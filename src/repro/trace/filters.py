@@ -207,8 +207,7 @@ def sample_time_windows(
     locality but not across-window reuse, so miss ratios measured on it are
     biased *up* by the extra cold starts — callers should combine it with
     :func:`repro.core.simulator.simulate`'s ``warmup`` or treat each window
-    separately.  For sampling with quantified error, prefer the estimators
-    in :mod:`repro.sampling`, which re-exports this helper.
+    separately.
 
     Args:
         trace: the full trace.

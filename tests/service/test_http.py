@@ -217,41 +217,25 @@ class TestCancellation:
 
 
 class TestSampledCampaigns:
-    def test_sampled_submission_round_trips_estimates(self, tmp_path):
-        from repro.sampling import RepresentativeSampling
-
-        scheduler = Scheduler(InlineBackend(capacity=2), cache=tmp_path / "cache")
-        with BackgroundServer(scheduler) as server:
-            client = ServiceClient(server.url, user="alice")
-            plan = RepresentativeSampling(clusters=3, window=500, seed=0)
-            final = client.run(make_cells(2), sampling=plan)
-            assert final["status"] == "done"
-            for outcome in final["results"]:
-                assert outcome["ok"]
-                block = outcome["sampling"]
-                assert block["unit"] == "representative"
-                assert block["plan"]["plan"] == "representative"
-                for estimate in block["estimates"]:
-                    low, high = estimate["ci"]
-                    assert low <= estimate["value"] <= high
+    """A top-level field other than cells/user/priority (``sampling``, a
+    misspelled ``priorty``) is a 400 naming it, never silently ignored."""
 
     def test_malformed_sampling_spec_maps_to_400(self, tmp_path):
+        cells = [
+            {
+                "label": "c",
+                "trace": {"kind": "catalog", "name": "ZGREP", "length": LENGTH},
+                "job": {"type": "simulate", "size": 1024},
+            }
+        ]
         with make_server(tmp_path) as server:
             client = ServiceClient(server.url)
-            document = {
-                "cells": [
-                    {
-                        "label": "c",
-                        "trace": {"kind": "catalog", "name": "ZGREP",
-                                  "length": LENGTH},
-                        "job": {"type": "simulate", "size": 1024},
-                    }
-                ],
-                "sampling": {"plan": "clairvoyant"},
-            }
-            with pytest.raises(ServiceError) as excinfo:
-                client.submit(document)
-            assert excinfo.value.status == 400
+            for field, value in [("sampling", {"plan": "clairvoyant"}),
+                                 ("priorty", 5)]:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit({"cells": cells, field: value})
+                assert excinfo.value.status == 400
+                assert repr(field) in str(excinfo.value)
 
 
 class TestForkedSockets:

@@ -15,19 +15,10 @@ from repro.core.jobs import (
     run_cell,
 )
 from repro.core.misspath import MechanismConfig
-from repro.sampling import (
-    IntervalSampling,
-    RepresentativeSampling,
-    SetSampling,
-    run_sampled,
-)
 from repro.service.spec import (
     SpecError,
     decode_cells,
-    decode_sampling,
     encode_cells,
-    encode_sampling,
-    summarize_sampling,
     summarize_value,
 )
 
@@ -178,50 +169,39 @@ class TestSummaries:
 
 
 class TestSamplingSpec:
-    """Sampling plans must round-trip the wire with identity intact."""
+    """A sampling plan is no longer part of the wire format: any
+    ``sampling`` document is a spec error naming the field, so a client
+    that still sends one is refused rather than silently run exact."""
 
-    PLANS = [
-        IntervalSampling(fraction=0.2, window=750, mode="random", seed=3),
-        IntervalSampling(target_rel_err=0.05),
-        SetSampling(bits=4, keep=3, seed=1),
-        RepresentativeSampling(clusters=6, window=1500, seed=2),
+    CELLS = [
+        {
+            "label": "c",
+            "trace": {"kind": "catalog", "name": "ZGREP", "length": LENGTH},
+            "job": {"type": "simulate", "size": 1024},
+        }
     ]
 
-    @pytest.mark.parametrize("plan", PLANS, ids=lambda p: p.identity()["plan"])
-    def test_plan_survives_the_wire(self, plan):
-        assert decode_sampling(encode_sampling(plan)) == plan
-
-    def test_wire_format_is_the_cache_identity(self):
-        plan = RepresentativeSampling()
-        assert encode_sampling(plan) == plan.identity()
+    def reject(self, sampling):
+        with pytest.raises(SpecError, match="'sampling'"):
+            decode_cells({"cells": self.CELLS, "sampling": sampling})
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(SpecError, match="unknown sampling plan"):
-            decode_sampling({"plan": "clairvoyant"})
+        for family in ("interval", "set", "representative", "clairvoyant"):
+            self.reject({"plan": family})
 
     def test_non_object_rejected(self):
-        with pytest.raises(SpecError, match="object"):
-            decode_sampling(["representative"])
+        self.reject(["representative"])
 
     def test_invalid_parameters_become_spec_errors(self):
-        with pytest.raises(SpecError, match="malformed"):
-            decode_sampling({"plan": "representative", "clusters": 0})
-        with pytest.raises(SpecError, match="malformed"):
-            decode_sampling({"plan": "interval", "fraction": 2.0})
+        self.reject({"plan": "representative", "clusters": 0})
+        self.reject({"plan": "interval", "fraction": 2.0})
 
     def test_summarize_sampling_of_exact_cell_is_empty(self):
-        assert summarize_sampling(None) == {}
-
-    def test_summarize_sampling_and_sampled_report(self):
-        trace = TraceSpec.catalog("ZGREP", LENGTH).build()
-        plan = RepresentativeSampling(clusters=3, window=500, seed=0)
-        sampled = run_sampled(trace, SimulateJob(size=2048, line_size=16), plan)
-        summary = summarize_value(sampled.value)
-        assert summary["type"] == "sampled-report"
-        assert summary["miss_ratio"] == pytest.approx(sampled.value.miss_ratio)
-        block = summarize_sampling(sampled.info)["sampling"]
-        assert block["unit"] == "representative"
-        assert block["total_references"] == LENGTH
-        for estimate in block["estimates"]:
-            low, high = estimate["ci"]
-            assert low <= estimate["value"] <= high
+        cell = CampaignCell(
+            label="c",
+            trace=TraceSpec.catalog("ZGREP", LENGTH),
+            job=SimulateJob(size=2048, line_size=16),
+        )
+        summary = summarize_value(run_cell(cell).value)
+        assert summary["type"] == "report"
+        assert "sampling" not in summary

@@ -213,28 +213,22 @@ class TestCampaignCommand:
                   "--length", "4000", "--remote"])
 
     def test_remote_rejects_target_error(self, capsys):
-        with pytest.raises(SystemExit, match="target-error"):
+        with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "--traces", "ZGREP", "--sizes", "512",
                   "--length", "4000", "--remote", "http://127.0.0.1:1",
-                  "--sampling", "0.1", "--target-error", "0.1"])
+                  "--target-error", "0.1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --target-error 0.1" in capsys.readouterr().err
 
-    def test_remote_sampled_campaign(self, capsys, tmp_path, monkeypatch):
-        from repro.service import SERVICE_URL_ENV, BackgroundServer, Scheduler
-        from repro.service.backends import InlineBackend
-
-        scheduler = Scheduler(
-            InlineBackend(capacity=2), cache=tmp_path / "cache"
-        )
-        with BackgroundServer(scheduler) as server:
-            monkeypatch.setenv(SERVICE_URL_ENV, server.url)
-            code, out = run_cli(
-                capsys, "campaign", "--traces", "ZGREP", "--sizes", "512",
-                "--length", "4000", "--remote",
-                "--sampling", "representative", "--clusters", "3",
-            )
-        assert code == 0
-        assert "Remote campaign miss ratios" in out
-        assert "1 simulated" in out
+    def test_remote_sampled_campaign(self, capsys):
+        # Sampling is gone: argparse refuses the option before any
+        # campaign, local or remote, is built.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--traces", "ZGREP", "--sizes", "512",
+                  "--length", "4000", "--remote", "http://127.0.0.1:1",
+                  "--sampling", "0.1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --sampling 0.1" in capsys.readouterr().err
 
     def test_unknown_trace_fails_fast(self, capsys):
         with pytest.raises(KeyError):

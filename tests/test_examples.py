@@ -64,18 +64,10 @@ class TestExamples:
         out = run_main(module, capsys)
         assert "copy-back data cache" in out
 
-    def test_sampled_campaign(self, capsys):
-        module = load_example("sampled_campaign")
-        module.LENGTH = 30_000
-        out = run_main(module, capsys)
-        assert "±" in out  # every sampled cell prints its interval
-        assert "truth inside the reported interval: 12/12 cells" in out
-
 
 @pytest.mark.parametrize("name", [
     "quickstart", "custom_workload", "compare_machines",
     "workload_sensitivity", "design_space", "multiprogramming",
-    "sampled_campaign",
 ])
 def test_examples_have_docstrings_and_main(name):
     module = load_example(name)

@@ -240,9 +240,3 @@ class TestTimeSampling:
         }
         # The source trace's metadata is untouched.
         assert "sampling" not in trace.metadata.extra
-
-    def test_reexported_through_repro_sampling(self):
-        from repro import sampling
-        from repro.trace import sample_time_windows
-
-        assert sampling.sample_time_windows is sample_time_windows

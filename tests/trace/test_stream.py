@@ -200,8 +200,8 @@ class TestCompiledView:
 
     def test_derived_traces_have_isolated_memos(self):
         # A sampled sub-trace must never collide with or evict its
-        # parent's compiled views (the sampling engine slices windows
-        # out of traces whose full-trace views are still in use).
+        # parent's compiled views (slices and time-sampled windows are
+        # cut out of traces whose full-trace views are still in use).
         parent = make_trace(
             [(AccessKind.READ, 16 * i) for i in range(64)]
         )
