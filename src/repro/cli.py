@@ -188,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="bind port; 0 picks a free one "
                    "(default: REPRO_SERVICE_PORT or 8795)")
     p.add_argument("--backend", default=None,
-                   choices=["inline", "pool", "fleet"],
+                   choices=["inline", "pool"],
                    help="execution backend (default: REPRO_SERVICE_BACKEND "
                    "or pool)")
     p.add_argument("--workers", type=int, default=None,
@@ -551,7 +551,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
 
-    from .service import Scheduler, create_backend
+    from .service import BACKENDS, Scheduler, create_backend
     from .service.http import DEFAULT_HOST, DEFAULT_PORT, ServiceServer
     from .trace.store import TRACE_STORE_ENV
 
@@ -564,6 +564,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     backend_name = (
         args.backend or os.environ.get("REPRO_SERVICE_BACKEND") or "pool"
     )
+    if backend_name not in BACKENDS:
+        print(f"error: REPRO_SERVICE_BACKEND={backend_name!r} is not a backend; "
+              f"choose from {', '.join(sorted(BACKENDS))}", file=sys.stderr)
+        return 2
     backend = create_backend(backend_name, args.workers)
     scheduler = Scheduler(
         backend,

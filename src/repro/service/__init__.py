@@ -8,7 +8,7 @@ hit concurrently without multiplying work (``docs/service.md``):
   campaigns into content-addressed cells and dedupes them across
   clients, processes, and the on-disk result cache;
 * :mod:`repro.service.backends` — pluggable execution backends
-  (in-process threads, a process pool, a subprocess worker fleet);
+  (in-process threads, or a pool of one-process workers);
 * :mod:`repro.service.queue` — priority admission queue with per-user
   quotas and fair-share start order;
 * :mod:`repro.service.http` / :mod:`repro.service.client` — the
@@ -27,7 +27,6 @@ from .backends import (
     BackendCrash,
     InlineBackend,
     PoolBackend,
-    SubprocessFleetBackend,
     create_backend,
 )
 from .client import SERVICE_URL_ENV, ServiceClient, ServiceError
@@ -51,7 +50,6 @@ __all__ = [
     "ServiceServer",
     "SERVICE_URL_ENV",
     "SpecError",
-    "SubprocessFleetBackend",
     "create_backend",
     "decode_cells",
     "encode_cells",

@@ -60,7 +60,7 @@ from pathlib import Path
 
 from ..campaign import EventLog, ResultCache, _resolve_cache
 from ..core.jobs import CampaignCell, CellError, CellResult, cell_key
-from .backends import BackendCrash, CellExecutionError, CellPreempted
+from .backends import BackendCrash
 from .queue import FairShareQueue, QueueEntry, QuotaExceeded
 from .spec import summarize_value
 
@@ -497,6 +497,7 @@ class Scheduler:
             "status": "ok",
             "backend": getattr(self.backend, "name", type(self.backend).__name__),
             "capacity": self.backend.capacity,
+            "respawns": getattr(self.backend, "respawns", 0),
             "campaigns": len(self.campaigns),
             "queued": len(self.queue),
             "active": self._active,
@@ -701,11 +702,6 @@ class Scheduler:
             try:
                 async with self._slots:
                     return await self._dispatch(backend, cell), attempts
-            except CellPreempted:
-                # Killed to stop a sibling's hung cell: not this cell's
-                # attempt, so it is re-dispatched free of charge.
-                attempts -= 1
-                continue
             except _CellTimeout:
                 emit("pool_terminated", reason="cell_timeout",
                      backend=backend.name, timeout=self.timeout)
@@ -717,10 +713,6 @@ class Scheduler:
                     ),
                     traceback="",
                 ), attempts
-            except CellExecutionError as exc:
-                # A fleet worker reports the cell's exception by name only,
-                # so it is never treated as transient.
-                return exc.error, attempts
             except Exception as exc:
                 error = CellError.from_exception(exc)
                 if not isinstance(exc, (OSError, BackendCrash)):

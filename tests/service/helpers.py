@@ -1,16 +1,12 @@
 """Injectable runners for the service tests.
 
-These must stay module-level: the pool backend pickles them into worker
-processes, and the fleet backend resolves them by dotted path
-(``tests.service.helpers:crash_on_marker``) inside a fresh
-``python -m repro.service.worker`` subprocess — which works because
-``python -m`` puts the repo root on ``sys.path``.
+These must stay module-level: the pool backend pickles them into its
+worker processes.
 
 Faults are marked in the cell *label* (the one field that never enters
 the cache key), same convention as ``tests/test_campaign_faults.py``:
 ``CRASH`` kills the hosting process, ``FAIL`` raises inside the runner,
-``SLOW`` sleeps long enough to create overlap windows for dedupe tests,
-``HANG`` never returns (for timeout tests).
+``SLOW`` sleeps long enough to create overlap windows, ``HANG`` never returns (for timeout tests).
 """
 
 import multiprocessing
@@ -26,9 +22,12 @@ def fake_run(cell):
 
 
 def crash_on_marker(cell):
-    """Kill the hosting worker process for cells marked ``CRASH``."""
+    """Kill the hosting worker process for cells marked ``CRASH``; take a
+    second over ``SLOW``, so a sibling is in flight while one crashes."""
     if "CRASH" in cell.label:
         os._exit(13)
+    if "SLOW" in cell.label:
+        time.sleep(1.0)
     return fake_run(cell)
 
 
@@ -59,19 +58,10 @@ def hang_on_marker(cell):
 
 
 def stall_in_pool_worker(cell):
-    """Inside a pool worker only: hang on ``HANG``, take 0.2 s over
-    ``BUSY``, and hang on ``ONCE`` until the file named by
-    ``REPRO_TEST_ONCE_FLAG`` exists (its first attempt creates it), so
-    ``ONCE`` is still on its first attempt when a ``HANG`` cell's timeout
-    terminates the pool."""
+    """Inside a pool worker only: hang on ``HANG`` and take 0.2 s over
+    ``BUSY``."""
     if multiprocessing.parent_process() is not None:
         if "BUSY" in cell.label:
             time.sleep(0.2)
-        if "ONCE" in cell.label:
-            flag = os.environ["REPRO_TEST_ONCE_FLAG"]
-            if not os.path.exists(flag):
-                with open(flag, "w", encoding="utf-8"):
-                    pass
-                time.sleep(600)
         return hang_on_marker(cell)
     return fake_run(cell)

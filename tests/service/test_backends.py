@@ -1,31 +1,18 @@
-"""Tests for the execution backends and the fleet worker protocol."""
+"""Tests for the execution backends."""
 
 import asyncio
-import io
-import pickle
 
 import pytest
 
-from repro.core.jobs import (
-    CampaignCell,
-    CellError,
-    CellResult,
-    SimulateJob,
-    TraceSpec,
-)
+from repro.core.jobs import CampaignCell, CellResult, SimulateJob, TraceSpec
 from repro.service.backends import (
     BackendCrash,
-    CellExecutionError,
     InlineBackend,
     PoolBackend,
-    SubprocessFleetBackend,
     create_backend,
 )
-from repro.service.worker import read_frame, resolve_runner, write_frame
 
 from .helpers import crash_on_marker, fail_on_marker, fake_run
-
-HELPERS = "tests.service.helpers"
 
 
 def make_cell(label="cell"):
@@ -73,18 +60,14 @@ class TestPoolBackend:
         async def body():
             with pytest.raises(BackendCrash):
                 await backend.run(make_cell("CRASH-me"))
-            # The pool was replaced; the next cell runs normally.
+            # The worker was replaced; the next cell runs normally.
             return await backend.run(make_cell("fine"))
 
         result = asyncio.run(with_backend(backend, body))
         assert isinstance(result, CellResult)
 
-
-class TestFleetBackend:
-    def test_runs_cells_through_worker_subprocesses(self):
-        backend = SubprocessFleetBackend(
-            workers=2, runner=f"{HELPERS}:fake_run"
-        )
+    def test_runs_more_cells_than_workers(self):
+        backend = PoolBackend(workers=2, runner=fake_run)
 
         async def body():
             return await asyncio.gather(
@@ -93,31 +76,29 @@ class TestFleetBackend:
 
         results = asyncio.run(with_backend(backend, body))
         assert all(r.references == 1_000 for r in results)
+        assert backend.respawns == 0
 
     def test_worker_crash_fails_one_cell_and_respawns(self):
-        backend = SubprocessFleetBackend(
-            workers=1, runner=f"{HELPERS}:crash_on_marker"
-        )
+        backend = PoolBackend(workers=2, runner=crash_on_marker)
 
         async def body():
+            # A sibling runs on the other worker while CRASH kills its own.
+            sibling = asyncio.ensure_future(backend.run(make_cell("SLOW")))
             with pytest.raises(BackendCrash, match="died under cell"):
                 await backend.run(make_cell("CRASH-me"))
             # Blast radius is one cell: the replacement worker serves on.
-            return await backend.run(make_cell("fine"))
+            return await sibling, await backend.run(make_cell("fine"))
 
-        result = asyncio.run(with_backend(backend, body))
-        assert isinstance(result, CellResult)
+        results = asyncio.run(with_backend(backend, body))
+        assert all(isinstance(r, CellResult) for r in results)
         assert backend.respawns == 1
 
-    def test_cell_exception_is_structured_not_a_crash(self):
-        backend = SubprocessFleetBackend(
-            workers=1, runner=f"{HELPERS}:fail_on_marker"
-        )
+    def test_cell_exception_is_the_cells_own_not_a_crash(self):
+        backend = PoolBackend(workers=1, runner=fail_on_marker)
 
         async def body():
-            with pytest.raises(CellExecutionError) as excinfo:
+            with pytest.raises(ValueError, match="injected failure"):
                 await backend.run(make_cell("FAIL-me"))
-            assert excinfo.value.error.type == "ValueError"
             # The worker survives its own cell's exception.
             return await backend.run(make_cell("fine"))
 
@@ -125,55 +106,12 @@ class TestFleetBackend:
         assert isinstance(result, CellResult)
         assert backend.respawns == 0
 
-    def test_worker_that_cannot_start_fails_the_start(self):
-        # The runner does not exist: the worker exits before its ready
-        # frame, and start() says so instead of handing it a cell.
-        backend = SubprocessFleetBackend(workers=1, runner=f"{HELPERS}:missing")
-        with pytest.raises(BackendCrash, match="failed to start"):
-            asyncio.run(with_backend(backend, lambda: None))
-
 
 class TestRegistry:
     def test_known_backends(self):
         assert isinstance(create_backend("inline", 2), InlineBackend)
         assert isinstance(create_backend("pool", 1), PoolBackend)
-        assert isinstance(create_backend("fleet", 1), SubprocessFleetBackend)
 
     def test_unknown_backend_is_a_clear_error(self):
         with pytest.raises(ValueError, match="unknown backend"):
             create_backend("cloud")
-
-
-class TestFrameProtocol:
-    def test_roundtrip(self):
-        buffer = io.BytesIO()
-        write_frame(buffer, b"payload")
-        buffer.seek(0)
-        assert read_frame(buffer) == b"payload"
-
-    def test_clean_eof_is_none(self):
-        assert read_frame(io.BytesIO()) is None
-
-    def test_truncated_header_raises(self):
-        with pytest.raises(EOFError, match="header"):
-            read_frame(io.BytesIO(b"\x00\x00"))
-
-    def test_truncated_payload_raises(self):
-        buffer = io.BytesIO()
-        write_frame(buffer, b"full payload")
-        data = buffer.getvalue()[:-3]
-        with pytest.raises(EOFError, match="payload"):
-            read_frame(io.BytesIO(data))
-
-    def test_oversized_frame_rejected(self):
-        import struct
-
-        with pytest.raises(ValueError, match="exceeds"):
-            read_frame(io.BytesIO(struct.pack(">Q", 1 << 60)))
-
-    def test_resolve_runner(self):
-        assert resolve_runner(f"{HELPERS}:fake_run") is fake_run
-        with pytest.raises(ValueError, match="pkg.mod:function"):
-            resolve_runner("no-colon")
-        with pytest.raises(TypeError, match="not callable"):
-            resolve_runner("os:sep")

@@ -18,6 +18,7 @@ from repro.core.jobs import CampaignCell, StackSweepJob, TraceSpec
 from repro.service import (
     BackgroundServer,
     InlineBackend,
+    PoolBackend,
     Scheduler,
     ServiceClient,
     ServiceError,
@@ -77,6 +78,14 @@ class TestLifecycle:
             health = ServiceClient(server.url).health()
             assert health["status"] == "ok"
             assert health["backend"] == "inline"
+
+    def test_health_reports_the_pool_and_its_respawns(self, tmp_path):
+        scheduler = Scheduler(PoolBackend(workers=2), cache=tmp_path / "cache")
+        with BackgroundServer(scheduler) as server:
+            health = ServiceClient(server.url).health()
+        assert health["backend"] == "pool"
+        assert health["capacity"] == 2
+        assert health["respawns"] == 0
 
     def test_identical_submissions_dedupe_across_clients(self, tmp_path):
         with make_server(tmp_path) as server:

@@ -223,17 +223,22 @@ class TestRetries:
 
 
 class TestPoolFaults:
-    def test_broken_pool_falls_back_to_serial(self):
+    def test_broken_pool_falls_back_to_serial(self, tmp_path):
         cells = make_cells(["ok-a", "FAIL-kill", "ok-b", "ok-c"])
         reference = [run_cell(cell).value for cell in cells]
+        events = tmp_path / "events.jsonl"
         result = run_campaign(
             cells, workers=2, cache=False, runner=kill_worker_for_marked,
-            retries=2, backoff=0,
+            retries=2, backoff=0, events=events,
         )
-        # The killed worker breaks the pool; every unfinished cell —
-        # the killer included — completes serially in the main process.
+        # The killer kills only its own worker on every attempt, then
+        # completes serially in the main process; its siblings never
+        # leave the pool.
         assert result.failed_cells == 0
         assert result.values() == reference
+        records = [json.loads(line) for line in events.read_text().splitlines()]
+        fallbacks = [r["label"] for r in records if r["event"] == "serial_fallback"]
+        assert fallbacks == ["FAIL-kill"]
 
     def test_timeout_turns_a_hang_into_a_failed_outcome(self, tmp_path):
         cells = make_cells(["ok-a", "FAIL-hang", "ok-b", "ok-c"])
