@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.multiprog import DEFAULT_QUANTUM
-from ..core.sector import SectorCache, SectorGeometry
+from ..core.sector import SectorCacheOrganization, SectorGeometry
+from ..core.simulator import simulate
 from ..core.stackdist import lru_miss_ratio_curve
 from ..trace.record import AccessKind
 from ..workloads import catalog
@@ -300,22 +301,14 @@ def z80000_comparison(length: int | None = None) -> dict[int, dict[str, float]]:
     for subblock, projected in ALPERT83_Z80000["projected_hit_ratios"].items():
         measured: dict[str, float] = {"alpert_hit": projected}
         for key, names in (("z8000_hit", z8000), ("design_hit", design)):
-            hits = []
-            for name in names:
-                trace = catalog.generate(name, length)
-                cache = SectorCache(SectorGeometry(256, 16, subblock))
-                # Drive the sector cache directly (it is not a
-                # CacheOrganization, so the generic simulate() is bypassed).
-                countdown = DEFAULT_QUANTUM
-                for kind, address, size in zip(
-                    trace.kinds.tolist(), trace.addresses.tolist(), trace.sizes.tolist()
-                ):
-                    cache.access_raw(kind, address, size)
-                    countdown -= 1
-                    if countdown == 0:
-                        cache.purge()
-                        countdown = DEFAULT_QUANTUM
-                hits.append(1.0 - cache.stats.miss_ratio)
+            hits = [
+                1.0 - simulate(
+                    catalog.generate(name, length),
+                    SectorCacheOrganization(SectorGeometry(256, 16, subblock)),
+                    purge_interval=DEFAULT_QUANTUM,
+                ).miss_ratio
+                for name in names
+            ]
             measured[key] = float(np.mean(hits))
         out[subblock] = measured
     return out

@@ -6,10 +6,10 @@ buffers, a unified second level — see ``docs/mechanisms.md``) onto the
 paper's baseline organizations and measures what each one buys across
 the workload catalog.
 
-Every (workload, variant) pair is one campaign cell — a plain
-:class:`~repro.core.jobs.SimulateJob` for the baseline and a
-:class:`~repro.core.jobs.MechanismStudyJob` per variant — so the study
-parallelizes and memoizes exactly like the paper-table experiments.
+Every (workload, variant) pair is one campaign cell — a
+:class:`~repro.core.jobs.SimulateJob`, bare for the baseline and with
+``mechanisms`` set per variant — so the study parallelizes and memoizes
+exactly like the paper-table experiments.
 
 The headline metric is the **effective miss ratio**: references the
 whole assembly could not service without going to memory (the L2, when
@@ -29,7 +29,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from ..campaign import run_campaign
-from ..core.jobs import CampaignCell, MechanismStudyJob, SimulateJob
+from ..core.jobs import CampaignCell, SimulateJob
 from ..core.misspath import MechanismConfig
 from ..core.simulator import SimulationReport
 from ..workloads import catalog
@@ -242,19 +242,12 @@ def mechanism_study(
     cells: list[CampaignCell] = []
     for workload in names:
         spec, quantum = _workload_spec(workload, length)
-        cells.append(
-            CampaignCell(
-                label=f"{workload}/baseline",
-                trace=spec,
-                job=SimulateJob(purge_interval=quantum, **common),
-            )
-        )
-        for vname, config in chosen:
+        for vname, config in [("baseline", None), *chosen]:
             cells.append(
                 CampaignCell(
                     label=f"{workload}/{vname}",
                     trace=spec,
-                    job=MechanismStudyJob(
+                    job=SimulateJob(
                         purge_interval=quantum, mechanisms=config, **common
                     ),
                 )

@@ -2,8 +2,9 @@
 
 :func:`generate_report` runs the complete reproduction — calibration
 check, Tables 1-5, Figures 1-10, validations — and renders a Markdown
-document of paper-vs-measured results.  The repository's EXPERIMENTS.md is
-produced this way (full trace lengths) and then annotated.
+document of paper-vs-measured results.  The repository's EXPERIMENTS.md
+is not produced this way: it records the benches' full-length run
+(``REPRO_BENCH_FULL=1 pytest benchmarks/``), annotated.
 
 The prefetch study dominates the cost (four simulations per workload per
 size); pass ``include_prefetch=False`` for a quick pass.

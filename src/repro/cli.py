@@ -8,7 +8,7 @@ simulator operations::
     repro-cachesim generate ZGREP -o zgrep.rtrc --length 100000
     repro-cachesim simulate ZGREP --size 16384 --split --purge 20000
     repro-cachesim campaign --traces VCCOM,ZGREP --sizes 1024,4096 --workers 4
-    repro-cachesim serve --backend pool --cache-dir /shared/cache
+    repro-cachesim serve --workers 4 --cache-dir /shared/cache
     repro-cachesim campaign --traces VCCOM --remote http://127.0.0.1:8795
     repro-cachesim table1 --length 100000
     repro-cachesim table2
@@ -66,10 +66,10 @@ def _add_mechanism_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _mechanism_config(args: argparse.Namespace):
-    """Build the MechanismConfig the flags describe, or ``None``."""
+    """The MechanismConfig the flags describe (inactive without any)."""
     from .core import MechanismConfig
 
-    config = MechanismConfig(
+    return MechanismConfig(
         victim_entries=args.victim,
         miss_entries=args.miss_cache,
         stream_buffers=args.stream_buffers,
@@ -78,7 +78,6 @@ def _mechanism_config(args: argparse.Namespace):
         l2_line_size=args.l2_line,
         l2_associativity=args.l2_assoc,
     )
-    return config if config.active else None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -187,12 +186,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=None,
                    help="bind port; 0 picks a free one "
                    "(default: REPRO_SERVICE_PORT or 8795)")
-    p.add_argument("--backend", default=None,
-                   choices=["inline", "pool"],
-                   help="execution backend (default: REPRO_SERVICE_BACKEND "
-                   "or pool)")
     p.add_argument("--workers", type=int, default=None,
-                   help="backend capacity (default: REPRO_WORKERS or CPU count)")
+                   help="pool worker processes (default: REPRO_WORKERS or "
+                   "CPU count)")
     p.add_argument("--cache-dir", default=None,
                    help="shared result-cache directory; enables cross-process "
                    "dedupe (default: REPRO_CACHE_DIR)")
@@ -317,9 +313,9 @@ def _cmd_machines(args: argparse.Namespace) -> None:
 
 def _simulate_job(args: argparse.Namespace, size: int, mechanisms):
     """The simulation job the ``simulate``/``campaign`` flags describe."""
-    from .core.jobs import MechanismStudyJob, SimulateJob
+    from .core.jobs import SimulateJob
 
-    options = dict(
+    return SimulateJob(
         size=size,
         line_size=args.line,
         associativity=args.assoc,
@@ -328,10 +324,8 @@ def _simulate_job(args: argparse.Namespace, size: int, mechanisms):
         fetch=args.fetch,
         split=args.split,
         purge_interval=args.purge,
+        mechanisms=mechanisms,
     )
-    if mechanisms is None:
-        return SimulateJob(**options)
-    return MechanismStudyJob(mechanisms=mechanisms, **options)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
@@ -384,7 +378,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         catalog.get(name)  # fail fast on unknown traces
     sizes = args.sizes or list(analysis.PAPER_CACHE_SIZES)
     mechanisms = _mechanism_config(args)
-    if mechanisms is not None and args.stack:
+    if mechanisms.active and args.stack:
         raise SystemExit(
             "--stack is a plain LRU sweep; miss-path mechanism flags "
             "need direct simulation (drop --stack)"
@@ -415,49 +409,26 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.remote is not None:
         return _run_remote_campaign(args, cells, sizes, mechanisms)
 
+    from .service.spec import summarize_value
+
     progress = None
     if args.verbose:
-        total = len(cells)
-        done = iter(range(1, total + 1))
+        count = iter(range(1, len(cells) + 1))
 
         def progress(outcome):
-            if outcome.error is not None:
-                status = f"FAILED ({outcome.error})"
-            elif outcome.cached:
-                status = "cached"
-            else:
-                status = f"{outcome.wall_seconds:.2f}s"
-            print(f"[{next(done)}/{total}] {outcome.label}: {status}",
-                  file=sys.stderr, flush=True)
+            _print_progress(next(count), len(cells), outcome.label,
+                            outcome.error and str(outcome.error),
+                            "cached" if outcome.cached else "run",
+                            outcome.wall_seconds)
 
     result = run_campaign(
         cells, workers=args.workers, cache=cache, progress=progress,
         retries=args.retries, timeout=args.timeout, events=args.events,
     )
-
-    kind = "stack sweep" if args.stack else "simulation"
-    # Failed cells render as NaN so partial campaigns still tabulate.
-    series: dict[str, list[float]] = {}
-    if args.stack:
-        for outcome in result.outcomes:
-            series[outcome.label] = (
-                list(outcome.value) if outcome.ok else [float("nan")] * len(sizes)
-            )
-    else:
-        for outcome in result.outcomes:
-            name = outcome.label.rsplit("/", 1)[0]
-            series.setdefault(name, []).append(
-                (outcome.value.effective_miss_ratio
-                 if mechanisms is not None
-                 else outcome.value.miss_ratio)
-                if outcome.ok else float("nan")
-            )
-    if mechanisms is not None:
-        kind += ", effective miss ratio with miss-path mechanisms"
-    print(analysis.render_series(
-        "trace \\ bytes", sizes, series,
-        title=f"Campaign miss ratios ({kind})",
-    ))
+    _print_miss_ratios("Campaign miss ratios", args, sizes, mechanisms, [
+        (outcome.label, summarize_value(outcome.value) if outcome.ok else None)
+        for outcome in result.outcomes
+    ])
     print()
     print(result.summary())
     if result.failed_cells:
@@ -465,6 +436,38 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
               "the failures (successes are cached)", file=sys.stderr)
         return 1
     return 0
+
+
+def _print_progress(count, total, label, error, source, wall_seconds) -> None:
+    """One ``--verbose`` line for a finished or failed cell."""
+    if error is not None:
+        status = f"FAILED ({error})"
+    elif source == "run":
+        status = f"{wall_seconds:.2f}s"
+    else:
+        status = source
+    print(f"[{count}/{total}] {label}: {status}", file=sys.stderr, flush=True)
+
+
+def _print_miss_ratios(title, args, sizes, mechanisms, results) -> None:
+    """The miss-ratio table of ``(label, summarize_value dict)`` pairs, local
+    or remote alike; a failed cell (``None``) renders as NaN."""
+    nan = float("nan")
+    metric = "effective_miss_ratio" if mechanisms.active else "miss_ratio"
+    series: dict[str, list[float]] = {}
+    for label, value in results:
+        value = value or {}
+        if args.stack:
+            points = value.get("curve") or [None] * len(sizes)
+        else:
+            label, points = label.rsplit("/", 1)[0], [value.get(metric)]
+        series.setdefault(label, []).extend(nan if v is None else v for v in points)
+    kind = "stack sweep" if args.stack else "simulation"
+    if mechanisms.active:
+        kind += ", effective miss ratio with miss-path mechanisms"
+    print(analysis.render_series(
+        "trace \\ bytes", sizes, series, title=f"{title} ({kind})",
+    ))
 
 
 def _run_remote_campaign(args: argparse.Namespace, cells, sizes, mechanisms) -> int:
@@ -483,22 +486,19 @@ def _run_remote_campaign(args: argparse.Namespace, cells, sizes, mechanisms) -> 
     client = ServiceClient(url, user=args.user)
     log = EventLog(args.events) if args.events is not None else None
     total = len(cells)
-    seen = {"cells": 0}
+    count = iter(range(1, total + 1))
 
     def on_event(event):
         if log is not None:
             fields = {k: v for k, v in event.items() if k not in ("event", "time")}
             log.emit(event["event"], **fields)
         if args.verbose and event["event"] in ("cell_finished", "cell_failed"):
-            seen["cells"] += 1
-            if event["event"] == "cell_failed":
-                status = f"FAILED ({event.get('error')}: {event.get('message')})"
-            elif event.get("source") == "run":
-                status = f"{event.get('wall_seconds', 0.0):.2f}s"
-            else:
-                status = event.get("source", "cached")
-            print(f"[{seen['cells']}/{total}] {event.get('label')}: {status}",
-                  file=sys.stderr, flush=True)
+            failed = event["event"] == "cell_failed"
+            _print_progress(next(count), total, event.get("label"),
+                            f"{event.get('error')}: {event.get('message')}"
+                            if failed else None,
+                            event.get("source", "cached"),
+                            event.get("wall_seconds", 0.0))
 
     try:
         campaign_id = client.submit_cells(cells, priority=args.priority)
@@ -511,31 +511,10 @@ def _run_remote_campaign(args: argparse.Namespace, cells, sizes, mechanisms) -> 
         if log is not None:
             log.close()
 
-    results = final.get("results") or []
-    kind = "stack sweep" if args.stack else "simulation"
-    metric = "effective_miss_ratio" if mechanisms is not None else "miss_ratio"
-    series: dict[str, list[float]] = {}
-    if args.stack:
-        for outcome in results:
-            curve = (outcome.get("value") or {}).get("curve") if outcome["ok"] else None
-            series[outcome["label"]] = [
-                float("nan") if v is None else v
-                for v in (curve or [None] * len(sizes))
-            ]
-    else:
-        for outcome in results:
-            name = outcome["label"].rsplit("/", 1)[0]
-            value = (outcome.get("value") or {}) if outcome["ok"] else {}
-            ratio = value.get(metric, value.get("miss_ratio"))
-            series.setdefault(name, []).append(
-                float("nan") if ratio is None else ratio
-            )
-    if mechanisms is not None:
-        kind += ", effective miss ratio with miss-path mechanisms"
-    print(analysis.render_series(
-        "trace \\ bytes", sizes, series,
-        title=f"Remote campaign miss ratios ({kind})",
-    ))
+    _print_miss_ratios("Remote campaign miss ratios", args, sizes, mechanisms, [
+        (outcome["label"], outcome.get("value") if outcome["ok"] else None)
+        for outcome in final.get("results") or []
+    ])
     print()
     print(f"campaign {final['id']} [{final['status']}]: {final['cells']} cells "
           f"({final['cached']} cached, {final['shared']} shared, "
@@ -551,8 +530,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
 
-    from .service import BACKENDS, Scheduler, create_backend
-    from .service.http import DEFAULT_HOST, DEFAULT_PORT, ServiceServer
+    from .service import PoolBackend, Scheduler
+    from .service.http import DEFAULT_HOST, DEFAULT_PORT, serve
     from .trace.store import TRACE_STORE_ENV
 
     if args.trace_store:
@@ -561,14 +540,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     port = args.port
     if port is None:
         port = int(os.environ.get("REPRO_SERVICE_PORT") or DEFAULT_PORT)
-    backend_name = (
-        args.backend or os.environ.get("REPRO_SERVICE_BACKEND") or "pool"
-    )
-    if backend_name not in BACKENDS:
-        print(f"error: REPRO_SERVICE_BACKEND={backend_name!r} is not a backend; "
-              f"choose from {', '.join(sorted(BACKENDS))}", file=sys.stderr)
-        return 2
-    backend = create_backend(backend_name, args.workers)
+    backend = PoolBackend(args.workers)
     scheduler = Scheduler(
         backend,
         cache=args.cache_dir,
@@ -577,24 +549,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         events=args.events,
     )
 
-    async def body():
-        server = ServiceServer(scheduler, host, port)
-        await server.start()
+    def announce(server):
         cache = (
             scheduler.cache.directory if scheduler.cache is not None else "disabled"
         )
         print(f"campaign service listening on {server.url} "
-              f"(backend={backend_name} capacity={backend.capacity} "
+              f"(backend={backend.name} capacity={backend.capacity} "
               f"cache={cache})", file=sys.stderr, flush=True)
-        try:
-            await server.serve_forever()
-        finally:
-            await server.close()
 
     try:
-        asyncio.run(body())
+        asyncio.run(serve(scheduler, host, port, ready=announce))
     except KeyboardInterrupt:
-        print("campaign service stopped", file=sys.stderr)
+        pass  # serve() itself returns when interrupted inside the loop
+    print("campaign service stopped", file=sys.stderr)
     return 0
 
 

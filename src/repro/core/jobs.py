@@ -13,21 +13,30 @@ Both mechanisms need the *description* of a cell to be self-contained:
 
 A cell is a :class:`CampaignCell`: a :class:`TraceSpec` describing how to
 obtain the reference stream, plus a job describing what to do with it —
-a :class:`SimulateJob` (one direct simulation, yielding a
-:class:`~repro.core.simulator.SimulationReport`), a
+a :class:`SimulateJob` (one direct simulation, miss-path mechanisms
+optional, yielding a :class:`~repro.core.simulator.SimulationReport`), a
 :class:`StackSweepJob` (a one-pass LRU stack-distance sweep over several
 capacities, yielding a miss-ratio tuple), or an
 :class:`AssociativitySweepJob` (a one-pass-per-set-count sweep over a
 whole ways x capacities grid, yielding a miss-ratio surface).
+
+This is the one module that knows which fields a job has: a job's
+identity (its cache key) and its wire form are read off its dataclass
+fields, and :func:`job_from_document` checks the wire form strictly
+against the fields' annotations.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import time
 import traceback as traceback_module
+import typing
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,6 +49,7 @@ from .fetch import FetchPolicy
 from .kernels import associativity_miss_surface
 from .misspath import MechanismConfig
 from .organization import CacheOrganization, SplitCache, UnifiedCache
+from .replacement import _POLICIES as _REPLACEMENT_POLICIES
 from .replacement import policy_factory
 from .simulator import SimulationReport, simulate
 from .stackdist import lru_miss_ratio_curve
@@ -48,9 +58,11 @@ from .write import WritePolicy, WriteStrategy
 __all__ = [
     "TraceSpec",
     "SimulateJob",
-    "MechanismStudyJob",
     "StackSweepJob",
     "AssociativitySweepJob",
+    "job_document",
+    "job_from_document",
+    "strict_json",
     "CampaignCell",
     "CellError",
     "CellResult",
@@ -63,9 +75,8 @@ __all__ = [
 #: Version 2: :class:`CellResult` grew the ``sampling`` field.
 #: Version 3: generator v2 — purpose-decomposed RNG streams changed the
 #: emitted reference streams for equal workload parameters.
-#: Version 4: cell identity grew a miss-path mechanism config
-#: (:class:`MechanismStudyJob`), so pre-mechanism cached results must not
-#: be served for mechanism cells.
+#: Version 4: cell identity grew a miss-path mechanism config, so
+#: pre-mechanism cached results must not be served for mechanism cells.
 #: Version 5: sampled cell identity gained the representative-interval
 #: plan family (``plan: "representative"``), and stratified window
 #: features moved to the vectorized sweep, changing which windows a
@@ -82,6 +93,7 @@ _WRITE_POLICIES = {
         WriteStrategy.WRITE_THROUGH, allocate_on_write=True
     ),
 }
+_FETCH_POLICIES = {policy.value: policy for policy in FetchPolicy}
 
 
 @dataclass(frozen=True)
@@ -263,18 +275,111 @@ def _materialize(spec: TraceSpec) -> Trace:
     raise ValueError(f"unknown trace spec kind {spec.kind!r}")
 
 
+_JSON_SCALARS = {int: "integer", bool: "boolean", str: "string", type(None): "null"}
+
+
+@functools.cache
+def _fields(cls) -> dict[str, tuple]:
+    """``{name: (check, listed only when set)}`` per content field: every
+    field but those whose metadata says ``content=False`` (``engine``)."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (strict_json(hints[f.name]), f.metadata.get("content") == "when-set")
+        for f in dataclasses.fields(cls)
+        if f.metadata.get("content", True) is not False
+    }
+
+
+def _content(obj) -> dict:
+    """A dataclass's content fields as plain JSON values."""
+    out = {}
+    for name, (_, when_set) in _fields(type(obj)).items():
+        value = getattr(obj, name)
+        if value is None and when_set:
+            continue
+        if type(value) is tuple:
+            value = list(value)
+        elif type(value) not in _JSON_SCALARS:
+            value = _content(value)  # a nested dataclass
+        out[name] = value
+    return out
+
+
+def strict_json(hint):
+    """A ``check(name, value)`` admitting exactly the JSON ``hint`` names.
+
+    ``int`` is a JSON integer (not a bool, float or string); ``X | None``
+    also admits null, ``tuple[X, ...]`` an array and a dataclass an object
+    of its content fields.  Raises :class:`ValueError` naming the field.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        check = strict_json(inner)
+        return lambda name, value: None if value is None else check(name, value)
+    if typing.get_origin(hint) is tuple:
+        check = strict_json(args[0])
+
+        def check_array(name, value):
+            if not isinstance(value, list):
+                raise ValueError(f"field {name!r} must be a JSON array, got {value!r}")
+            return tuple(check(name, item) for item in value)
+
+        return check_array
+    if dataclasses.is_dataclass(hint):
+        return lambda name, value: hint(**_decode_fields(hint, value, name))
+
+    def check_scalar(name, value):
+        if type(value) is not hint:
+            raise ValueError(
+                f"field {name!r} must be a JSON {_JSON_SCALARS[hint]}, got {value!r}"
+            )
+        return value
+
+    return check_scalar
+
+
+def _decode_fields(cls, doc, where: str) -> dict:
+    """Constructor arguments for ``cls`` from a JSON object, checked strictly
+    (``cls`` itself raises :class:`TypeError` naming a missing field)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    fields = _fields(cls)
+    unknown = doc.keys() - fields.keys()
+    if unknown:
+        raise ValueError(
+            f"unknown {where} field(s): " + ", ".join(map(repr, sorted(unknown)))
+        )
+    return {name: fields[name][0](name, value) for name, value in doc.items()}
+
+
+class _Job:
+    #: The job's name: ``"job"`` in its identity, ``"type"`` on the wire.
+    kind: ClassVar[str]
+
+    def identity(self) -> dict:
+        """JSON-able identity used for cache keying."""
+        return {"job": self.kind, **_content(self)}
+
+
 @dataclass(frozen=True)
-class SimulateJob:
+class SimulateJob(_Job):
     """One direct simulation: trace -> cache organization -> report.
 
     Fields mirror the ``simulate`` CLI subcommand; the worker rebuilds the
     organization from these names so the job stays picklable and hashable.
+    An unknown ``replacement``, ``write`` or ``fetch`` name is a
+    :class:`ValueError` when the job is built.  ``mechanisms`` attaches
+    miss-path components and, when active, is part of the identity; an
+    inactive :class:`~repro.core.misspath.MechanismConfig` is stored as None.
 
     ``engine`` selects the replay engine as in
     :func:`repro.core.simulator.simulate` and is *excluded* from the cache
-    identity: every engine produces an identical report, so forcing
-    ``"generic"`` (or ``"kernel"``) must hit the same cached cell.
+    identity and the wire form: every engine produces an identical report,
+    so forcing ``"generic"`` (or ``"kernel"``) must hit the same cached cell.
     """
+
+    kind: ClassVar[str] = "simulate"
 
     size: int
     line_size: int = 16
@@ -286,25 +391,32 @@ class SimulateJob:
     purge_interval: int | None = None
     limit: int | None = None
     warmup: int = 0
-    engine: str = "auto"
+    # Listed only when set, so the keys of mechanism-free cells stay as
+    # they were before the field existed.
+    mechanisms: MechanismConfig | None = field(
+        default=None, metadata={"content": "when-set"}
+    )
+    engine: str = field(default="auto", metadata={"content": False})
 
-    def _miss_path(self):
-        """Components to attach to the organization (None in the base job)."""
-        return None
+    def __post_init__(self) -> None:
+        for name, known in (("replacement", _REPLACEMENT_POLICIES),
+                            ("write", _WRITE_POLICIES), ("fetch", _FETCH_POLICIES)):
+            value = getattr(self, name)
+            if value not in known:
+                raise ValueError(f"unknown {name} {value!r}; expected one of {sorted(known)}")
+        if self.mechanisms is not None and not self.mechanisms.active:
+            object.__setattr__(self, "mechanisms", None)
 
     def build_organization(self) -> CacheOrganization:
         """A fresh organization for one run of this job."""
         geometry = CacheGeometry(self.size, self.line_size, self.associativity)
-        write = _WRITE_POLICIES[self.write]
-        fetch = FetchPolicy(self.fetch)
-        replacement = policy_factory(self.replacement)
         organization_cls = SplitCache if self.split else UnifiedCache
         return organization_cls(
             geometry,
-            replacement=replacement,
-            write_policy=write,
-            fetch_policy=fetch,
-            miss_path=self._miss_path(),
+            replacement=policy_factory(self.replacement),
+            write_policy=_WRITE_POLICIES[self.write],
+            fetch_policy=_FETCH_POLICIES[self.fetch],
+            miss_path=self.mechanisms.build(self.line_size) if self.mechanisms else None,
         )
 
     def run(self, trace: Trace) -> SimulationReport:
@@ -318,59 +430,25 @@ class SimulateJob:
             engine=self.engine,
         )
 
-    def identity(self) -> dict:
-        """JSON-able identity used for cache keying."""
-        return {
-            "job": "simulate",
-            "size": self.size,
-            "line_size": self.line_size,
-            "associativity": self.associativity,
-            "replacement": self.replacement,
-            "write": self.write,
-            "fetch": self.fetch,
-            "split": self.split,
-            "purge_interval": self.purge_interval,
-            "limit": self.limit,
-            "warmup": self.warmup,
-        }
-
 
 @dataclass(frozen=True)
-class MechanismStudyJob(SimulateJob):
-    """A :class:`SimulateJob` with miss-path mechanisms attached.
-
-    The :class:`~repro.core.misspath.MechanismConfig` *is* part of the
-    cell identity (unlike ``engine``): a victim-cache run
-    and the bare baseline are different experiments.  The job name also
-    changes to ``"mechanism-study"`` so even an inactive config never
-    aliases a plain simulate cell.
-    """
-
-    mechanisms: MechanismConfig = MechanismConfig()
-
-    def _miss_path(self):
-        return self.mechanisms.build(self.line_size) or None
-
-    def identity(self) -> dict:
-        """JSON-able identity used for cache keying."""
-        ident = super().identity()
-        ident["job"] = "mechanism-study"
-        ident["mechanisms"] = self.mechanisms.identity()
-        return ident
-
-
-@dataclass(frozen=True)
-class StackSweepJob:
+class StackSweepJob(_Job):
     """A one-pass LRU stack-distance sweep over several capacities.
 
     Returns the miss-ratio tuple aligned with ``sizes`` — the cheap path
     for every LRU/demand-fetch configuration (Tables 1/5, Figures 1/3/4).
     """
 
+    kind: ClassVar[str] = "stack-sweep"
+
     sizes: tuple[int, ...]
     line_size: int = 16
     kinds: tuple[int, ...] | None = None
     purge_interval: int | None = None
+
+    def __post_init__(self) -> None:
+        if not self.sizes:
+            raise ValueError("a stack sweep needs at least one size in 'sizes'")
 
     def run(self, trace: Trace) -> tuple[float, ...]:
         """Execute the sweep on a materialized trace."""
@@ -384,19 +462,9 @@ class StackSweepJob:
         )
         return tuple(float(v) for v in curve)
 
-    def identity(self) -> dict:
-        """JSON-able identity used for cache keying."""
-        return {
-            "job": "stack-sweep",
-            "sizes": list(self.sizes),
-            "line_size": self.line_size,
-            "kinds": list(self.kinds) if self.kinds is not None else None,
-            "purge_interval": self.purge_interval,
-        }
-
 
 @dataclass(frozen=True)
-class AssociativitySweepJob:
+class AssociativitySweepJob(_Job):
     """A one-pass-per-set-count sweep over a (ways x capacities) grid.
 
     Backed by :func:`repro.core.kernels.associativity_miss_surface`: grid
@@ -409,6 +477,8 @@ class AssociativitySweepJob:
     ``ways`` (``None`` = fully associative), columns with ``capacities``.
     """
 
+    kind: ClassVar[str] = "associativity-sweep"
+
     ways: tuple[int | None, ...]
     capacities: tuple[int, ...]
     line_size: int = 16
@@ -420,14 +490,25 @@ class AssociativitySweepJob:
         )
         return tuple(tuple(float(v) for v in row) for row in surface)
 
-    def identity(self) -> dict:
-        """JSON-able identity used for cache keying."""
-        return {
-            "job": "associativity-sweep",
-            "ways": list(self.ways),
-            "capacities": list(self.capacities),
-            "line_size": self.line_size,
-        }
+
+#: Every job type, by the name it travels under.
+_JOB_TYPES = {cls.kind: cls for cls in (SimulateJob, StackSweepJob, AssociativitySweepJob)}
+
+
+def job_document(job) -> dict:
+    """A job's wire form: its content fields under its ``"type"``."""
+    return {"type": job.kind, **_content(job)}
+
+
+def job_from_document(doc) -> SimulateJob | StackSweepJob | AssociativitySweepJob:
+    """Rebuild a job from its wire form, checking every field's JSON type
+    (:class:`ValueError` names the unknown type or the offending field)."""
+    kind = doc.get("type") if isinstance(doc, dict) else None
+    cls = _JOB_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown job type {kind!r}")
+    fields = {name: value for name, value in doc.items() if name != "type"}
+    return cls(**_decode_fields(cls, fields, f"{kind} job"))
 
 
 @dataclass(frozen=True)

@@ -534,8 +534,9 @@ class MechanismConfig:
 
     Zero/None fields mean "mechanism absent"; :meth:`build` materializes
     the configured components in canonical chain order (victim cache, miss
-    cache, stream buffers, L2).  The identity participates in campaign
-    cache keys (see :data:`repro.core.jobs.CACHE_SCHEMA_VERSION`).
+    cache, stream buffers, L2).  Its fields enter a simulate cell's cache
+    key, and its wire form, when it is active
+    (:class:`repro.core.jobs.SimulateJob`).
     """
 
     victim_entries: int = 0
@@ -565,21 +566,6 @@ class MechanismConfig:
             or self.stream_buffers
             or self.l2_size
         )
-
-    def identity(self) -> dict | None:
-        """Canonical JSON-stable identity; None when inactive."""
-        if not self.active:
-            return None
-        ident: dict = {}
-        if self.victim_entries:
-            ident["victim"] = self.victim_entries
-        if self.miss_entries:
-            ident["miss"] = self.miss_entries
-        if self.stream_buffers:
-            ident["stream"] = [self.stream_buffers, self.stream_depth]
-        if self.l2_size:
-            ident["l2"] = [self.l2_size, self.l2_line_size, self.l2_associativity]
-        return ident
 
     def build(self, line_size: int) -> tuple[MissPathComponent, ...]:
         """Fresh components in canonical chain order."""

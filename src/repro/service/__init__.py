@@ -22,13 +22,7 @@ CLI: ``repro-cachesim serve`` runs the service;
 SSE stream.
 """
 
-from .backends import (
-    BACKENDS,
-    BackendCrash,
-    InlineBackend,
-    PoolBackend,
-    create_backend,
-)
+from .backends import BackendCrash, InlineBackend, PoolBackend
 from .client import SERVICE_URL_ENV, ServiceClient, ServiceError
 from .http import BackgroundServer, ServiceServer, serve
 from .queue import FairShareQueue, QuotaExceeded
@@ -36,7 +30,6 @@ from .scheduler import CampaignState, Scheduler
 from .spec import SpecError, decode_cells, encode_cells, summarize_value
 
 __all__ = [
-    "BACKENDS",
     "BackendCrash",
     "BackgroundServer",
     "CampaignState",
@@ -50,7 +43,6 @@ __all__ = [
     "ServiceServer",
     "SERVICE_URL_ENV",
     "SpecError",
-    "create_backend",
     "decode_cells",
     "encode_cells",
     "serve",

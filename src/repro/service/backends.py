@@ -40,8 +40,6 @@ __all__ = [
     "BackendCrash",
     "InlineBackend",
     "PoolBackend",
-    "create_backend",
-    "BACKENDS",
 ]
 
 
@@ -154,22 +152,3 @@ class PoolBackend:
         for executor in executors:
             executor.shutdown(wait=True, cancel_futures=True)
 
-
-#: Backend registry used by ``repro-cachesim serve --backend``.
-BACKENDS = {
-    "inline": InlineBackend,
-    "pool": PoolBackend,
-}
-
-
-def create_backend(name: str, workers: int | None = None):
-    """Build a backend by registry name (``inline`` or ``pool``)."""
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
-        ) from None
-    if name == "inline":
-        return factory(capacity=worker_count(workers))
-    return factory(workers=workers)

@@ -7,15 +7,17 @@ plain JSON.  Only *reconstructible* cells travel over the wire: catalog
 and mix trace specs, whose identity is a handful of names and integers
 that any worker can regenerate deterministically.  ``inline`` and
 ``file`` specs are rejected — an inline trace only exists in the
-caller's process and a file path is not portable across hosts.
-
-A campaign spec document looks like::
+caller's process and a file path is not portable across hosts.  A job
+travels as its content fields under its ``"type"``, checked strictly
+(:func:`repro.core.jobs.job_from_document`); this module keeps the
+envelope.  A campaign spec document looks like::
 
     {
       "cells": [
         {"label": "VCCOM/1024",
          "trace": {"kind": "catalog", "name": "VCCOM", "length": 20000},
-         "job": {"type": "simulate", "size": 1024, "line_size": 16}},
+         "job": {"type": "simulate", "size": 1024, "associativity": 1,
+                 "mechanisms": {"victim_entries": 4}}},
         ...
       ]
     }
@@ -34,14 +36,12 @@ from __future__ import annotations
 import math
 
 from ..core.jobs import (
-    AssociativitySweepJob,
     CampaignCell,
-    MechanismStudyJob,
-    SimulateJob,
-    StackSweepJob,
     TraceSpec,
+    job_document,
+    job_from_document,
+    strict_json,
 )
-from ..core.misspath import MechanismConfig
 from ..core.simulator import SimulationReport
 
 __all__ = [
@@ -100,10 +100,15 @@ def _catalog_name(name) -> str:
     return name
 
 
+_int = strict_json(int)
+_opt_int = strict_json(int | None)
+
+
 def _decode_trace(doc: dict) -> TraceSpec:
     kind = doc.get("kind")
+    length = _opt_int("length", doc.get("length"))
     if kind == "catalog":
-        return TraceSpec.catalog(_catalog_name(doc["name"]), _opt_int(doc.get("length")))
+        return TraceSpec.catalog(_catalog_name(doc["name"]), length)
     if kind == "mix":
         members = doc.get("members")
         if not isinstance(members, list) or not members:
@@ -111,112 +116,11 @@ def _decode_trace(doc: dict) -> TraceSpec:
         return TraceSpec.mix(
             str(doc.get("name", "+".join(members))),
             tuple(_catalog_name(m) for m in members),
-            quantum=int(doc["quantum"]),
-            length=_opt_int(doc.get("length")),
-            total=_opt_int(doc.get("total")),
+            quantum=_int("quantum", doc.get("quantum")),
+            length=length,
+            total=_opt_int("total", doc.get("total")),
         )
     raise SpecError(f"unknown trace spec kind {kind!r}")
-
-
-def _opt_int(value) -> int | None:
-    return None if value is None else int(value)
-
-
-# ------------------------------ jobs ------------------------------
-
-_SIMULATE_FIELDS = dict(
-    size=int,
-    line_size=int,
-    associativity=_opt_int,
-    replacement=str,
-    write=str,
-    fetch=str,
-    split=bool,
-    purge_interval=_opt_int,
-    limit=_opt_int,
-    warmup=int,
-)
-
-
-def _simulate_kwargs(doc: dict) -> dict:
-    if "size" not in doc:
-        raise SpecError("simulate job needs a 'size'")
-    kwargs = {}
-    for name, convert in _SIMULATE_FIELDS.items():
-        if name in doc:
-            kwargs[name] = convert(doc[name])
-    return kwargs
-
-
-def _encode_job(job) -> dict:
-    if isinstance(job, MechanismStudyJob):
-        doc = {"type": "mechanism-study", **job.identity()}
-        doc.pop("job", None)
-        doc["mechanisms"] = {
-            "victim_entries": job.mechanisms.victim_entries,
-            "miss_entries": job.mechanisms.miss_entries,
-            "stream_buffers": job.mechanisms.stream_buffers,
-            "stream_depth": job.mechanisms.stream_depth,
-            "l2_size": job.mechanisms.l2_size,
-            "l2_line_size": job.mechanisms.l2_line_size,
-            "l2_associativity": job.mechanisms.l2_associativity,
-        }
-        return doc
-    if isinstance(job, SimulateJob):
-        doc = {"type": "simulate", **job.identity()}
-        doc.pop("job", None)
-        return doc
-    if isinstance(job, StackSweepJob):
-        doc = {"type": "stack-sweep", **job.identity()}
-        doc.pop("job", None)
-        return doc
-    if isinstance(job, AssociativitySweepJob):
-        doc = {"type": "associativity-sweep", **job.identity()}
-        doc.pop("job", None)
-        return doc
-    raise SpecError(
-        f"job type {type(job).__name__!r} cannot travel over the wire"
-    )
-
-
-def _decode_job(doc: dict):
-    kind = doc.get("type")
-    if kind == "simulate":
-        return SimulateJob(**_simulate_kwargs(doc))
-    if kind == "mechanism-study":
-        mech = doc.get("mechanisms") or {}
-        config = MechanismConfig(
-            victim_entries=int(mech.get("victim_entries", 0)),
-            miss_entries=int(mech.get("miss_entries", 0)),
-            stream_buffers=int(mech.get("stream_buffers", 0)),
-            stream_depth=int(mech.get("stream_depth", 4)),
-            l2_size=_opt_int(mech.get("l2_size")),
-            l2_line_size=_opt_int(mech.get("l2_line_size")),
-            l2_associativity=_opt_int(mech.get("l2_associativity")),
-        )
-        return MechanismStudyJob(mechanisms=config, **_simulate_kwargs(doc))
-    if kind == "stack-sweep":
-        sizes = doc.get("sizes")
-        if not isinstance(sizes, list) or not sizes:
-            raise SpecError("stack-sweep job needs a non-empty 'sizes' list")
-        kinds = doc.get("kinds")
-        return StackSweepJob(
-            sizes=tuple(int(s) for s in sizes),
-            line_size=int(doc.get("line_size", 16)),
-            kinds=tuple(int(k) for k in kinds) if kinds is not None else None,
-            purge_interval=_opt_int(doc.get("purge_interval")),
-        )
-    if kind == "associativity-sweep":
-        ways = doc.get("ways")
-        capacities = doc.get("capacities")
-        if not isinstance(ways, list) or not isinstance(capacities, list):
-            raise SpecError("associativity-sweep job needs 'ways' and 'capacities'")
-        return AssociativitySweepJob(
-            ways=tuple(_opt_int(w) for w in ways),
-            capacities=tuple(int(c) for c in capacities),
-            line_size=int(doc.get("line_size", 16)),
-        )
-    raise SpecError(f"unknown job type {kind!r}")
 
 
 # ------------------------------ cells ------------------------------
@@ -227,7 +131,7 @@ def encode_cells(cells) -> list[dict]:
         {
             "label": cell.label,
             "trace": _encode_trace(cell.trace),
-            "job": _encode_job(cell.job),
+            "job": job_document(cell.job),
         }
         for cell in cells
     ]
@@ -261,9 +165,7 @@ def decode_cells(document, *, max_cells: int = MAX_CELLS_DEFAULT) -> list[Campai
             raise SpecError(f"cell {position} is not an object")
         try:
             trace = _decode_trace(doc.get("trace") or {})
-            job = _decode_job(doc.get("job") or {})
-        except SpecError:
-            raise
+            job = job_from_document(doc.get("job") or {})
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"cell {position} is malformed: {exc}") from None
         label = str(doc.get("label") or f"{trace.name}/{position}")

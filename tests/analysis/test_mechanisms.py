@@ -12,7 +12,6 @@ from repro.analysis.mechanisms import (
 )
 from repro.core.jobs import (
     CampaignCell,
-    MechanismStudyJob,
     SimulateJob,
     TraceSpec,
     cell_key,
@@ -123,7 +122,7 @@ class TestMechanismCacheKeys:
         varied = CampaignCell(
             label="x",
             trace=spec,
-            job=MechanismStudyJob(
+            job=SimulateJob(
                 size=1024, mechanisms=MechanismConfig(victim_entries=4)
             ),
         )
@@ -137,7 +136,7 @@ class TestMechanismCacheKeys:
                 CampaignCell(
                     label="x",
                     trace=spec,
-                    job=MechanismStudyJob(size=1024, mechanisms=config),
+                    job=SimulateJob(size=1024, mechanisms=config),
                 )
             )
 

@@ -287,7 +287,7 @@ class TestDirectMappedRoute:
 class TestCampaignWorkerEquivalence:
     def test_mechanism_stats_identical_across_worker_counts(self):
         from repro.campaign import run_campaign
-        from repro.core.jobs import CampaignCell, MechanismStudyJob, TraceSpec
+        from repro.core.jobs import CampaignCell, SimulateJob, TraceSpec
         from repro.core.misspath import MechanismConfig
 
         spec = TraceSpec.catalog("VCCOM", length=4000)
@@ -298,7 +298,7 @@ class TestCampaignWorkerEquivalence:
             CampaignCell(
                 label=f"assoc-{ways}",
                 trace=spec,
-                job=MechanismStudyJob(
+                job=SimulateJob(
                     size=1024, associativity=ways, mechanisms=config
                 ),
             )

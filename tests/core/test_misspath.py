@@ -17,6 +17,7 @@ from repro.core import (
     simulate,
 )
 from repro.core.fetch import FetchPolicy
+from repro.core.jobs import SimulateJob
 from repro.trace import AccessKind
 
 from ..conftest import make_trace
@@ -321,12 +322,20 @@ class TestMechanismConfig:
     def test_inactive_by_default(self):
         config = MechanismConfig()
         assert not config.active
-        assert config.identity() is None
+        assert SimulateJob(size=1024, mechanisms=config).mechanisms is None
         assert config.build(16) == ()
 
     def test_identity_is_canonical(self):
+        # A job lists an active config field by field; an inactive one
+        # keys exactly like a job without mechanisms.
         config = MechanismConfig(victim_entries=4, stream_buffers=2, stream_depth=8)
-        assert config.identity() == {"victim": 4, "stream": [2, 8]}
+        assert SimulateJob(size=1024, mechanisms=config).identity()["mechanisms"] == {
+            "victim_entries": 4, "miss_entries": 0, "stream_buffers": 2,
+            "stream_depth": 8, "l2_size": None, "l2_line_size": None,
+            "l2_associativity": None,
+        }
+        assert (SimulateJob(size=1024, mechanisms=MechanismConfig()).identity()
+                == SimulateJob(size=1024).identity())
 
     def test_l2_options_need_l2_size(self):
         with pytest.raises(ValueError, match="l2_size"):

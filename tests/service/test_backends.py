@@ -9,7 +9,6 @@ from repro.service.backends import (
     BackendCrash,
     InlineBackend,
     PoolBackend,
-    create_backend,
 )
 
 from .helpers import crash_on_marker, fail_on_marker, fake_run
@@ -106,12 +105,3 @@ class TestPoolBackend:
         assert isinstance(result, CellResult)
         assert backend.respawns == 0
 
-
-class TestRegistry:
-    def test_known_backends(self):
-        assert isinstance(create_backend("inline", 2), InlineBackend)
-        assert isinstance(create_backend("pool", 1), PoolBackend)
-
-    def test_unknown_backend_is_a_clear_error(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            create_backend("cloud")

@@ -247,6 +247,31 @@ class TestSampledCampaigns:
                 assert repr(field) in str(excinfo.value)
 
 
+class TestStrictSpecs:
+    """A cell field its job cannot hold is a 400 naming the field, before
+    any cell runs: the decoder never coerces it into another experiment."""
+
+    @pytest.mark.parametrize("job, trace, field", [
+        ({"split": "false"}, {}, "split"),
+        ({"size": 1024.9}, {}, "size"),
+        ({"associativity": True}, {}, "associativity"),
+        ({"write": "copyback"}, {}, "write"),
+        ({}, {"length": "4000"}, "length"),
+    ])
+    def test_bad_field_is_a_400(self, tmp_path, job, trace, field):
+        cell = {
+            "label": "c",
+            "trace": {"kind": "catalog", "name": "ZGREP", "length": LENGTH, **trace},
+            "job": {"type": "simulate", "size": 1024, **job},
+        }
+        with make_server(tmp_path) as server:
+            with pytest.raises(ServiceError) as excinfo:
+                ServiceClient(server.url).submit({"cells": [cell]})
+            assert excinfo.value.status == 400
+            assert field in str(excinfo.value)
+            assert server.scheduler.describe()["campaigns"] == 0
+
+
 class TestForkedSockets:
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork + threads
     def test_sse_stream_ends_while_a_forked_child_holds_the_socket(self, tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from repro.core.jobs import (
     AssociativitySweepJob,
     CampaignCell,
-    MechanismStudyJob,
     SimulateJob,
     StackSweepJob,
     TraceSpec,
@@ -53,7 +52,7 @@ class TestRoundTrip:
         CampaignCell(
             "mech",
             TraceSpec.catalog("ZGREP", LENGTH),
-            MechanismStudyJob(
+            SimulateJob(
                 size=1024,
                 mechanisms=MechanismConfig(victim_entries=4, stream_buffers=1),
             ),
@@ -133,6 +132,105 @@ class TestRejections:
         assert "ZGREP" in cell.label
 
 
+def cell_doc(job=None, trace=None):
+    """A one-cell spec document; ``job`` fields without a ``type`` extend a
+    1 KB simulate job, ``trace`` fields a ZGREP catalog trace."""
+    job = job or {}
+    return {"cells": [{
+        "trace": {"kind": "catalog", "name": "ZGREP", "length": LENGTH, **(trace or {})},
+        "job": job if "type" in job else {"type": "simulate", "size": 1024, **job},
+    }]}
+
+
+#: Values the decoder must refuse (most of them it once coerced or let
+#: through), each with the field its refusal must name.
+BAD_FIELDS = [
+    ({"split": "false"}, None, "split"),
+    ({"size": 1024.9}, None, "size"),
+    ({"associativity": True}, None, "associativity"),
+    ({"line_size": 16.5}, None, "line_size"),
+    ({"write": "copyback"}, None, "write"),
+    ({"replacement": "lru2"}, None, "replacement"),
+    ({"fetch": "eager"}, None, "fetch"),
+    ({"warmup": None}, None, "warmup"),
+    ({"purge_intreval": 1000}, None, "purge_intreval"),
+    ({"engine": "generic"}, None, "engine"),
+    ({"mechanisms": {"victim_entries": "4"}}, None, "victim_entries"),
+    ({"mechanisms": {"victim": 4}}, None, "victim"),
+    ({"mechanisms": [4]}, None, "mechanisms"),
+    ({"type": "stack-sweep", "sizes": [512, 2048.0]}, None, "sizes"),
+    ({"type": "stack-sweep", "sizes": []}, None, "sizes"),
+    ({"type": "stack-sweep", "sizes": [512], "kinds": "0"}, None, "kinds"),
+    ({"type": "associativity-sweep", "ways": [1, True],
+      "capacities": [1024]}, None, "ways"),
+    (None, {"length": "4000"}, "length"),
+    (None, {"kind": "mix", "members": ["ZGREP", "PLO"], "quantum": "500"},
+     "quantum"),
+    (None, {"kind": "mix", "members": ["ZGREP", "PLO"], "quantum": 500,
+            "total": 1e4}, "total"),
+]
+
+
+class TestStrictDecoding:
+    """A value its field cannot hold is a spec error naming the field,
+    never coerced into a different experiment."""
+
+    @pytest.mark.parametrize("job, trace, field", BAD_FIELDS,
+                             ids=[f for _, _, f in BAD_FIELDS])
+    def test_bad_field_is_named(self, job, trace, field):
+        with pytest.raises(SpecError, match=field):
+            decode_cells(cell_doc(job, trace))
+
+    def test_retired_mechanism_study_type(self):
+        with pytest.raises(SpecError, match="unknown job type 'mechanism-study'"):
+            decode_cells(cell_doc({"type": "mechanism-study"}))
+
+    def test_local_jobs_refuse_unknown_names_when_built(self):
+        for name in ("replacement", "write", "fetch"):
+            with pytest.raises(ValueError, match=f"unknown {name} 'nope'"):
+                SimulateJob(size=1024, **{name: "nope"})
+
+    def test_inactive_mechanisms_key_like_none(self):
+        (cell,) = decode_cells(cell_doc({"mechanisms": {"stream_depth": 8}}))
+        assert cell.job == SimulateJob(size=1024)
+
+    def test_valid_document_decodes_unchanged(self):
+        (cell,) = decode_cells(cell_doc({
+            "associativity": 1, "split": True, "purge_interval": None,
+            "mechanisms": {"victim_entries": 4, "l2_size": 8192},
+        }))
+        assert cell.job == SimulateJob(
+            size=1024, associativity=1, split=True,
+            mechanisms=MechanismConfig(victim_entries=4, l2_size=8192),
+        )
+
+
+class TestKeyStability:
+    """Literal keys of cells without mechanisms, computed before
+    ``mechanisms`` joined ``SimulateJob``.  A change here orphans every
+    cached result of that job type; bump ``CACHE_SCHEMA_VERSION`` only if
+    a key could map to a different result."""
+
+    PINNED = [
+        (CampaignCell("s", TraceSpec.catalog("ZGREP", LENGTH),
+                      SimulateJob(size=1024, line_size=32, associativity=2,
+                                  split=True, purge_interval=1_000)),
+         "19f9638edda17a610a56c0e6f97e606d7be0c03c0cd5b5718ccae53bf4ca7977"),
+        (CampaignCell("k", TraceSpec.catalog("PLO", LENGTH),
+                      StackSweepJob(sizes=(512, 2048), purge_interval=1_000)),
+         "05e00b6c562afb6858998737f0e38e2eeae2521338fd4ee83a2f987cd104b82b"),
+        (CampaignCell("a", TraceSpec.catalog("ZGREP", LENGTH),
+                      AssociativitySweepJob(ways=(1, 2, None),
+                                            capacities=(1024, 4096))),
+         "b739f90a7dd088e8d90eb96b602983aadf72743228720e289bf39f65c2eb78a6"),
+    ]
+
+    @pytest.mark.parametrize("cell, key", PINNED, ids=["simulate", "stack", "assoc"])
+    def test_pinned_key(self, cell, key):
+        assert cell_key(cell) == key
+        assert cell_key(roundtrip(cell)) == key
+
+
 class TestSummaries:
     def test_report_summary_carries_the_miss_ratios(self):
         cell = CampaignCell(
@@ -148,7 +246,7 @@ class TestSummaries:
         cell = CampaignCell(
             "mech",
             TraceSpec.catalog("ZGREP", LENGTH),
-            MechanismStudyJob(
+            SimulateJob(
                 size=1024, mechanisms=MechanismConfig(victim_entries=4)
             ),
         )

@@ -245,14 +245,6 @@ class TestErrors:
         with pytest.raises(KeyError):
             main(["simulate", "NOPE"])
 
-    def test_unknown_service_backend_in_the_environment(self, capsys, monkeypatch):
-        # Rejected before any scheduler or server is built.
-        monkeypatch.setenv("REPRO_SERVICE_BACKEND", "fleet")
-        assert main(["serve", "--port", "0"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "REPRO_SERVICE_BACKEND" in err and "inline, pool" in err
-
 
 class TestReportCommand:
     def test_report_to_file(self, capsys, tmp_path):
