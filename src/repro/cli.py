@@ -418,8 +418,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         def progress(outcome):
             _print_progress(next(count), len(cells), outcome.label,
                             outcome.error and str(outcome.error),
-                            "cached" if outcome.cached else "run",
-                            outcome.wall_seconds)
+                            outcome.source, outcome.wall_seconds)
 
     result = run_campaign(
         cells, workers=args.workers, cache=cache, progress=progress,
@@ -497,8 +496,7 @@ def _run_remote_campaign(args: argparse.Namespace, cells, sizes, mechanisms) -> 
             _print_progress(next(count), total, event.get("label"),
                             f"{event.get('error')}: {event.get('message')}"
                             if failed else None,
-                            event.get("source", "cached"),
-                            event.get("wall_seconds", 0.0))
+                            event["source"], event.get("wall_seconds", 0.0))
 
     try:
         campaign_id = client.submit_cells(cells, priority=args.priority)

@@ -528,6 +528,10 @@ class SecondLevelCache(MissPathComponent):
         return len(self.cache) > 0 or super().is_warm()
 
 
+#: Default entries per stream buffer of a :class:`MechanismConfig`.
+_STREAM_DEPTH = 4
+
+
 @dataclass(frozen=True, slots=True)
 class MechanismConfig:
     """Declarative miss-path configuration for jobs and the CLI.
@@ -536,13 +540,15 @@ class MechanismConfig:
     the configured components in canonical chain order (victim cache, miss
     cache, stream buffers, L2).  Its fields enter a simulate cell's cache
     key, and its wire form, when it is active
-    (:class:`repro.core.jobs.SimulateJob`).
+    (:class:`repro.core.jobs.SimulateJob`).  ``stream_depth`` without
+    stream buffers configures nothing, so it is reset to its default:
+    equal experiments get equal keys.
     """
 
     victim_entries: int = 0
     miss_entries: int = 0
     stream_buffers: int = 0
-    stream_depth: int = 4
+    stream_depth: int = _STREAM_DEPTH
     l2_size: int | None = None
     l2_line_size: int | None = None
     l2_associativity: int | None = None
@@ -556,6 +562,8 @@ class MechanismConfig:
             self.l2_line_size is not None or self.l2_associativity is not None
         ):
             raise ValueError("l2_line_size/l2_associativity need l2_size")
+        if not self.stream_buffers:
+            object.__setattr__(self, "stream_depth", _STREAM_DEPTH)
 
     @property
     def active(self) -> bool:

@@ -5,9 +5,10 @@ web framework, three endpoints:
 
 * ``POST /campaigns`` — submit a campaign spec
   (:func:`repro.service.spec.decode_cells` document, plus optional
-  ``user`` and ``priority`` top-level fields).  Replies ``202`` with the
-  campaign id, ``400`` on a malformed spec or any other top-level field,
-  ``429`` when the user is over quota.
+  ``user`` (a JSON string) and ``priority`` (a JSON integer) top-level
+  fields).  Replies ``202`` with the campaign id, ``400`` on a malformed
+  spec, a ``user`` or ``priority`` of another type, or any other
+  top-level field, ``429`` when the user is over quota.
 * ``GET /campaigns/{id}`` — status counts, and the merged results
   array once the campaign is done.  ``404`` for unknown ids.
 * ``DELETE /campaigns/{id}`` — cancel a queued or running campaign.
@@ -18,9 +19,8 @@ web framework, three endpoints:
   Server-Sent Events: one ``data: {json}`` frame per event, full replay
   from the first event, then live until ``campaign_finished`` closes the
   stream.  The payload schema is exactly the ``docs/campaign.md`` event
-  schema (plus ``source`` on ``cell_finished``), so a client can pipe
-  the data lines straight into anything that already consumes campaign
-  JSONL logs.
+  schema a local campaign logs, so a client can pipe the data lines
+  straight into anything that already consumes campaign JSONL logs.
 
 Plus ``GET /healthz`` for liveness probes.  Each connection serves one
 request (``Connection: close``), which keeps the parser honest and is
@@ -237,14 +237,12 @@ class ServiceServer:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             await self._respond(writer, 400, {"error": f"invalid JSON: {exc}"})
             return
-        user = str(document.get("user") or "anonymous")
         try:
-            priority = int(document.get("priority") or 0)
-        except (TypeError, ValueError):
-            await self._respond(writer, 400, {"error": "priority must be an integer"})
-            return
-        try:
-            state = self.scheduler.submit(cells, user=user, priority=priority)
+            state = self.scheduler.submit(
+                cells,
+                user=document.get("user") or "anonymous",
+                priority=document.get("priority", 0),
+            )
         except QuotaExceeded as exc:
             await self._respond(writer, 429, {"error": str(exc)})
             return

@@ -62,10 +62,14 @@ class SpecError(ValueError):
 #: against a single request monopolizing the backend).
 MAX_CELLS_DEFAULT = 4096
 
+#: The optional envelope fields of a campaign spec document, checked as
+#: strictly as a cell's: ``priority`` is a JSON integer, ``user`` a string.
+_ENVELOPE = {"user": strict_json(str), "priority": strict_json(int)}
+
 #: The only top-level fields of a campaign spec document; anything else
 #: (a misspelled ``priorty``, a retired option) is a :class:`SpecError`,
 #: never silently ignored.
-CAMPAIGN_FIELDS = frozenset({"cells", "user", "priority"})
+CAMPAIGN_FIELDS = frozenset({"cells", *_ENVELOPE})
 
 
 # --------------------------- trace specs ---------------------------
@@ -143,7 +147,8 @@ def decode_cells(document, *, max_cells: int = MAX_CELLS_DEFAULT) -> list[Campai
     Accepts either the full ``{"cells": [...]}`` document or the bare
     cell list.  Raises :class:`SpecError` on anything malformed, unknown,
     or over the ``max_cells`` ceiling — the server maps that to a 400.
-    A full document may carry only the :data:`CAMPAIGN_FIELDS`.
+    A full document may carry only the :data:`CAMPAIGN_FIELDS`, and its
+    ``user`` and ``priority`` must be a JSON string and integer.
     """
     if isinstance(document, dict):
         unknown = sorted(set(document) - CAMPAIGN_FIELDS)
@@ -151,6 +156,12 @@ def decode_cells(document, *, max_cells: int = MAX_CELLS_DEFAULT) -> list[Campai
             raise SpecError(
                 "unknown campaign field(s): " + ", ".join(map(repr, unknown))
             )
+        try:
+            for name, check in _ENVELOPE.items():
+                if name in document:
+                    check(name, document[name])
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
         document = document.get("cells")
     if not isinstance(document, list) or not document:
         raise SpecError("campaign spec needs a non-empty 'cells' list")

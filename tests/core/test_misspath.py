@@ -17,7 +17,7 @@ from repro.core import (
     simulate,
 )
 from repro.core.fetch import FetchPolicy
-from repro.core.jobs import SimulateJob
+from repro.core.jobs import CampaignCell, SimulateJob, TraceSpec, cell_key
 from repro.trace import AccessKind
 
 from ..conftest import make_trace
@@ -336,6 +336,19 @@ class TestMechanismConfig:
         }
         assert (SimulateJob(size=1024, mechanisms=MechanismConfig()).identity()
                 == SimulateJob(size=1024).identity())
+
+    def test_stream_depth_without_stream_buffers_keys_as_content(self):
+        # A depth for absent stream buffers configures nothing, so it must
+        # not split one experiment into two cache keys.
+        spec = TraceSpec.catalog("ZGREP", 4_000)
+        plain, deep = (
+            CampaignCell("c", spec, SimulateJob(
+                size=1024, associativity=1, mechanisms=MechanismConfig(**fields)))
+            for fields in ({"victim_entries": 4},
+                           {"victim_entries": 4, "stream_depth": 8})
+        )
+        assert cell_key(plain) == cell_key(deep)
+        assert MechanismConfig(stream_buffers=2, stream_depth=8).stream_depth == 8
 
     def test_l2_options_need_l2_size(self):
         with pytest.raises(ValueError, match="l2_size"):

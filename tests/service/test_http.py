@@ -271,6 +271,25 @@ class TestStrictSpecs:
             assert field in str(excinfo.value)
             assert server.scheduler.describe()["campaigns"] == 0
 
+    @pytest.mark.parametrize("envelope, field", [
+        ({"priority": 2.9}, "priority"),
+        ({"priority": "5"}, "priority"),
+        ({"priority": True}, "priority"),
+        ({"user": 5}, "user"),
+    ])
+    def test_bad_envelope_field_is_a_400(self, tmp_path, envelope, field):
+        cell = {
+            "label": "c",
+            "trace": {"kind": "catalog", "name": "ZGREP", "length": LENGTH},
+            "job": {"type": "simulate", "size": 1024},
+        }
+        with make_server(tmp_path) as server:
+            with pytest.raises(ServiceError) as excinfo:
+                ServiceClient(server.url).submit({"cells": [cell], **envelope})
+            assert excinfo.value.status == 400
+            assert field in str(excinfo.value)
+            assert server.scheduler.describe()["campaigns"] == 0
+
 
 class TestForkedSockets:
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork + threads

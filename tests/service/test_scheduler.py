@@ -47,7 +47,12 @@ async def run_to_done(scheduler, cells, **kwargs):
 
 
 def sources(state):
-    return [o["source"] for o in state.outcomes]
+    return [o.source for o in state.outcomes]
+
+
+def summaries(state):
+    """The summarized values ``GET /campaigns/{id}`` reports, in order."""
+    return [doc["value"] for doc in state.describe()["results"]]
 
 
 class TestLifecycle:
@@ -66,7 +71,7 @@ class TestLifecycle:
 
         state = asyncio.run(body())
         assert state.status == "done"
-        assert [o["label"] for o in state.outcomes] == [
+        assert [o.label for o in state.outcomes] == [
             "cell-0", "cell-1", "cell-2"
         ]
         kinds = [e["event"] for e in state.events]
@@ -116,7 +121,7 @@ class TestLifecycle:
         counts = state.counts()
         assert counts["failed"] == 1 and counts["finished"] == 2
         failed = state.outcomes[1]
-        assert failed["ok"] is False and failed["error"] == "ValueError"
+        assert failed.ok is False and failed.error.type == "ValueError"
         assert any(e["event"] == "cell_failed" for e in state.events)
 
     def test_backend_crash_becomes_a_failed_outcome(self, tmp_path):
@@ -145,7 +150,7 @@ class TestLifecycle:
         state = asyncio.run(body())
         assert state.status == "done"
         assert state.counts()["failed"] == 2
-        assert all(o["error"] == "BackendCrash" for o in state.outcomes)
+        assert all(o.error.type == "BackendCrash" for o in state.outcomes)
 
     def test_quota_rejects_at_submit(self, tmp_path):
         async def body():
@@ -192,9 +197,7 @@ class TestDedupe:
         first, second = asyncio.run(body())
         assert sources(first) == ["run", "run", "run"]
         assert sources(second) == ["cache", "cache", "cache"]
-        assert [o["value"] for o in first.outcomes] == [
-            o["value"] for o in second.outcomes
-        ]
+        assert summaries(first) == summaries(second)
 
     def test_overlapping_campaigns_share_in_flight_cells(self, tmp_path):
         async def body():
@@ -223,9 +226,7 @@ class TestDedupe:
         # copies were satisfied by sharing or the by-then-warm cache.
         assert runs == 3
         assert shared + cached == 3
-        assert [o["value"] for o in one.outcomes] == [
-            o["value"] for o in two.outcomes
-        ]
+        assert summaries(one) == summaries(two)
 
     def test_two_schedulers_sharing_a_cache_dir_simulate_each_cell_once(
         self, tmp_path
@@ -272,7 +273,7 @@ class TestDedupe:
             if event["event"] == "cell_finished" and event["source"] == "run"
         )
         assert simulated == 4
-        values = [[o["value"] for o in state.outcomes] for state in states]
+        values = [summaries(state) for state in states]
         assert values[0] == values[1]
 
     def test_claim_files_are_cleaned_up(self, tmp_path):
@@ -432,7 +433,7 @@ class TestRetriesAndTimeouts:
             backoff=0,
         )
         assert state.status == "done"
-        assert state.outcomes[0]["ok"] is True
+        assert state.outcomes[0].ok is True
         retried = events_of(state, "cell_retried")
         assert len(retried) == 1
         assert retried[0]["error"] == "OSError" and retried[0]["attempt"] == 1
@@ -448,9 +449,9 @@ class TestRetriesAndTimeouts:
         )
         assert state.status == "done"
         hung, busy = state.outcomes
-        assert hung["ok"] is False and hung["error"] == "TimeoutError"
-        assert "REPRO_CELL_TIMEOUT" in hung["message"]
-        assert busy["ok"] is True
+        assert hung.ok is False and hung.error.type == "TimeoutError"
+        assert "REPRO_CELL_TIMEOUT" in hung.error.message
+        assert busy.ok is True
         assert [e["label"] for e in events_of(state, "pool_terminated")] == ["HANG"]
         assert not events_of(state, "cell_retried")
         assert [e["attempts"] for e in events_of(state, "cell_finished")] == [1]
@@ -466,8 +467,8 @@ class TestRetriesAndTimeouts:
         )
         assert state.status == "done"
         ok, hung, after = state.outcomes
-        assert ok["ok"] is True and after["ok"] is True
-        assert hung["ok"] is False and hung["error"] == "TimeoutError"
+        assert ok.ok is True and after.ok is True
+        assert hung.ok is False and hung.error.type == "TimeoutError"
         assert backend.respawns == 1
 
     def test_pool_worker_crash_never_fails_a_sibling(self, tmp_path):
@@ -480,8 +481,8 @@ class TestRetriesAndTimeouts:
         )
         assert state.status == "done"
         crashed, sibling = state.outcomes
-        assert crashed["ok"] is False and crashed["error"] == "BackendCrash"
-        assert sibling["ok"] is True
+        assert crashed.ok is False and crashed.error.type == "BackendCrash"
+        assert sibling.ok is True
         assert {e["label"] for e in events_of(state, "cell_retried")} == {"CRASH"}
         (finished,) = events_of(state, "cell_finished")
         assert finished["label"] == "SLOW" and finished["attempts"] == 1

@@ -365,10 +365,10 @@ class TestEventLog:
         run_campaign(cells, workers=1, cache=tmp_path / "cache", events=events)
         records = [json.loads(line) for line in events.read_text().splitlines()]
         kinds = [r["event"] for r in records]
-        assert kinds[0] == "campaign_started"
+        assert kinds[:2] == ["campaign_queued", "campaign_started"]
         assert kinds[-1] == "campaign_finished"
         assert kinds.count("cell_finished") == 2
-        start = records[0]
+        start = records[1]
         assert start["cells"] == 2 and start["workers"] == 1
         finished = [r for r in records if r["event"] == "cell_finished"]
         assert {r["label"] for r in finished} == {"a", "b"}
@@ -421,7 +421,8 @@ class TestEventLog:
         monkeypatch.setenv("REPRO_EVENT_LOG", str(path))
         run_campaign(make_cells(["a"]), workers=1, cache=False)
         kinds = [json.loads(l)["event"] for l in path.read_text().splitlines()]
-        assert kinds[0] == "campaign_started" and kinds[-1] == "campaign_finished"
+        assert kinds[:2] == ["campaign_queued", "campaign_started"]
+        assert kinds[-1] == "campaign_finished"
 
     def test_event_log_object_is_reusable_and_left_open(self, tmp_path):
         path = tmp_path / "shared.jsonl"
