@@ -14,8 +14,8 @@ numbers in EXPERIMENTS.md were produced with).
 
 Parallelism and caching
 -----------------------
-The campaign-backed experiments (Table 1, Figures 3-4, the prefetch
-study) fan out across ``REPRO_WORKERS`` processes and memoize each
+Every experiment runs its simulations as campaign cells, so each fans
+out across ``REPRO_WORKERS`` processes and memoizes each
 trace x configuration cell under ``benchmarks/.cache`` (overridable with
 ``REPRO_CACHE_DIR``; set ``REPRO_BENCH_CACHE=0`` to disable), so a
 repeated benchmark pass skips every already-simulated cell.

@@ -45,7 +45,6 @@ from .core import (
     lru_miss_ratio_curve,
     policy_factory,
     simulate,
-    simulate_multiprogrammed,
     traffic_ratio,
 )
 from .core.jobs import CampaignCell, CellError, SimulateJob, StackSweepJob, TraceSpec
@@ -92,7 +91,6 @@ __all__ = [
     "lru_miss_ratio_curve",
     "policy_factory",
     "simulate",
-    "simulate_multiprogrammed",
     "traffic_ratio",
     "AccessKind",
     "MemoryAccess",

@@ -21,14 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.jobs import SimulateJob, StackSweepJob
 from ..core.multiprog import DEFAULT_QUANTUM
-from ..core.sector import SectorCacheOrganization, SectorGeometry
-from ..core.simulator import simulate
-from ..core.stackdist import lru_miss_ratio_curve
-from ..trace.record import AccessKind
 from ..workloads import catalog
 from .published import ALPERT83_Z80000, CLARK83_VAX, PowerLawMissRatio
-from .sweep import PAPER_CACHE_SIZES
+from .split import side_jobs
+from .sweep import INSTRUCTION_KINDS, PAPER_CACHE_SIZES, PAPER_LINE_SIZE, workload_campaign
 from .tables import render_table
 
 __all__ = [
@@ -165,25 +163,13 @@ def design_target_estimate(
     Returns:
         The estimated targets.
     """
-    names = _design_traces()
-    unified_rows = []
-    instruction_rows = []
-    data_rows = []
-    for name in names:
-        trace = catalog.generate(name, length)
-        unified_rows.append(lru_miss_ratio_curve(trace, list(sizes)))
-        instruction_rows.append(
-            lru_miss_ratio_curve(
-                trace, list(sizes), kinds=[AccessKind.IFETCH, AccessKind.FETCH],
-                purge_interval=quantum,
-            )
-        )
-        data_rows.append(
-            lru_miss_ratio_curve(
-                trace, list(sizes), kinds=[AccessKind.READ, AccessKind.WRITE],
-                purge_interval=quantum,
-            )
-        )
+    # The unified cells are Table 1's and the split sides Figures 3-4's,
+    # so a cache directory shared with those experiments serves them.
+    rows = workload_campaign(_design_traces(), length, {
+        "unified": StackSweepJob(sizes=tuple(sizes), line_size=PAPER_LINE_SIZE),
+        **side_jobs(sizes, quantum),
+    })
+    unified_rows, instruction_rows, data_rows = zip(*rows)
     unified = np.percentile(np.vstack(unified_rows), percentile, axis=0)
     instruction = np.percentile(np.vstack(instruction_rows), percentile, axis=0)
     data = np.percentile(np.vstack(data_rows), percentile, axis=0)
@@ -240,17 +226,14 @@ def estimate_68020_icache(
         ``{"minimum", "median", "maximum", "percentile85"}`` of the
         instruction miss ratio over the 32-bit workloads.
     """
-    values = []
-    for name in _design_traces():
-        trace = catalog.generate(name, length)
-        curve = lru_miss_ratio_curve(
-            trace,
-            [cache_bytes],
-            line_size=line_bytes,
-            kinds=[AccessKind.IFETCH, AccessKind.FETCH],
-            purge_interval=quantum,
-        )
-        values.append(float(curve[0]))
+    job = StackSweepJob(
+        sizes=(cache_bytes,),
+        line_size=line_bytes,
+        kinds=tuple(int(k) for k in INSTRUCTION_KINDS),
+        purge_interval=quantum,
+    )
+    rows = workload_campaign(_design_traces(), length, {"I": job})
+    values = [curve[0] for (curve,) in rows]
     array = np.asarray(values)
     return {
         "minimum": float(array.min()),
@@ -297,18 +280,19 @@ def z80000_comparison(length: int | None = None) -> dict[int, dict[str, float]]:
     """
     z8000 = [n for n in catalog.names() if catalog.get(n).architecture == "Zilog Z8000"]
     design = _design_traces()
+    projections = ALPERT83_Z80000["projected_hit_ratios"]
+    jobs = {
+        f"{subblock}B": SimulateJob(size=256, line_size=16, subblock=subblock,
+                                    purge_interval=DEFAULT_QUANTUM)
+        for subblock in projections
+    }
+    rows = workload_campaign(z8000 + design, length, jobs)
+    groups = {"z8000_hit": rows[:len(z8000)], "design_hit": rows[len(z8000):]}
     out: dict[int, dict[str, float]] = {}
-    for subblock, projected in ALPERT83_Z80000["projected_hit_ratios"].items():
+    for index, (subblock, projected) in enumerate(projections.items()):
         measured: dict[str, float] = {"alpert_hit": projected}
-        for key, names in (("z8000_hit", z8000), ("design_hit", design)):
-            hits = [
-                1.0 - simulate(
-                    catalog.generate(name, length),
-                    SectorCacheOrganization(SectorGeometry(256, 16, subblock)),
-                    purge_interval=DEFAULT_QUANTUM,
-                ).miss_ratio
-                for name in names
-            ]
+        for key, group in groups.items():
+            hits = [1.0 - reports[index].miss_ratio for reports in group]
             measured[key] = float(np.mean(hits))
         out[subblock] = measured
     return out

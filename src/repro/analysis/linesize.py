@@ -7,7 +7,8 @@ topic is in progress."  (That research became Smith's 1987 line-size
 paper.)  This module implements the study over the synthetic catalog:
 
 * **miss-ratio surfaces** — miss ratio as a function of (line size,
-  capacity) per workload, computed with one stack-distance pass per cell;
+  capacity) per workload, one campaign cell (a stack-distance pass over
+  every capacity) per line size;
 * **traffic trade-off** — bigger lines cut misses but move more bytes per
   miss; the module reports both, plus the *memory-traffic-optimal* line
   size, which is usually smaller than the miss-optimal one (the [Hil84]
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.stackdist import lru_miss_ratio_curve
+from ..core.jobs import StackSweepJob
 from ..workloads import catalog
+from .sweep import workload_campaign
 from .tables import render_series
 
 __all__ = ["LineSizeStudy", "line_size_study", "DEFAULT_LINE_SIZES"]
@@ -146,15 +148,15 @@ def line_size_study(
                 raise ValueError(
                     f"capacity {capacity} is not a multiple of line size {line}"
                 )
+    surfaces = workload_campaign(workloads, length, {
+        f"{line}B": StackSweepJob(sizes=tuple(capacities), line_size=line)
+        for line in line_sizes
+    })
     miss: dict[str, np.ndarray] = {}
     bytes_per_reference: dict[str, float] = {}
-    for name in workloads:
-        trace = catalog.generate(name, length)
-        surface = np.empty((len(line_sizes), len(capacities)))
-        for i, line in enumerate(line_sizes):
-            surface[i] = lru_miss_ratio_curve(trace, list(capacities), line_size=line)
-        miss[name] = surface
-        bytes_per_reference[name] = float(trace.sizes.mean())
+    for name, surface in zip(workloads, surfaces):
+        miss[name] = np.array(surface)
+        bytes_per_reference[name] = float(catalog.generate(name, length).sizes.mean())
     return LineSizeStudy(
         tuple(line_sizes), tuple(capacities), miss, bytes_per_reference
     )

@@ -33,7 +33,8 @@ from ..core.jobs import CampaignCell, SimulateJob
 from ..core.misspath import MechanismConfig
 from ..core.simulator import SimulationReport
 from ..workloads import catalog
-from .prefetch import _workload_spec
+from .prefetch import purge_quantum
+from .sweep import workload_spec
 from .tables import render_table
 
 __all__ = [
@@ -239,9 +240,12 @@ def mechanism_study(
         raise ValueError("variant names must be unique")
 
     common = dict(size=size, line_size=line_size, associativity=associativity)
+    # As in the prefetch study: a mix runs one trace length in all.
+    total = catalog.DEFAULT_TRACE_LENGTH if length is None else length
     cells: list[CampaignCell] = []
     for workload in names:
-        spec, quantum = _workload_spec(workload, length)
+        quantum = purge_quantum(workload)
+        spec = workload_spec(workload, length, quantum, total)
         for vname, config in [("baseline", None), *chosen]:
             cells.append(
                 CampaignCell(

@@ -34,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..campaign import run_campaign
-from ..core.jobs import CampaignCell, SimulateJob, TraceSpec
+from ..core.jobs import CampaignCell, SimulateJob
 from ..core.multiprog import DEFAULT_QUANTUM
 from ..workloads import catalog
-from .sweep import PAPER_CACHE_SIZES
+from .sweep import PAPER_CACHE_SIZES, workload_spec
 from .tables import render_series, render_table
 from .writeback import PAPER_TABLE3
 
@@ -49,6 +49,7 @@ __all__ = [
     "PrefetchWorkloadResult",
     "PrefetchStudyResult",
     "prefetch_study",
+    "purge_quantum",
 ]
 
 #: Purge quantum for the M68000 traces (Section 3.5).
@@ -314,21 +315,12 @@ class PrefetchStudyResult:
         return "\n\n".join(blocks)
 
 
-def _workload_spec(label: str, length: int | None) -> tuple[TraceSpec, int]:
-    """Resolve a study label to a trace spec and its purge quantum."""
-    if label in catalog.MULTIPROGRAMMING_MIXES:
-        members = catalog.MULTIPROGRAMMING_MIXES[label]
-        total = length if length is not None else catalog.DEFAULT_TRACE_LENGTH
-        spec = TraceSpec.mix(
-            label, tuple(members), DEFAULT_QUANTUM, length=length, total=total
-        )
-        return spec, DEFAULT_QUANTUM
-    quantum = (
-        M68000_QUANTUM
-        if catalog.get(label).architecture == "Motorola 68000"
-        else DEFAULT_QUANTUM
-    )
-    return TraceSpec.catalog(label, length), quantum
+def purge_quantum(label: str) -> int:
+    """Section 3.5's purge interval for a workload label: 15 000
+    references for an M68000 trace, 20 000 for any other trace or mix."""
+    mix = label in catalog.MULTIPROGRAMMING_MIXES
+    m68000 = not mix and catalog.get(label).architecture == "Motorola 68000"
+    return M68000_QUANTUM if m68000 else DEFAULT_QUANTUM
 
 
 def prefetch_study(
@@ -364,9 +356,11 @@ def prefetch_study(
         "demand", "prefetch-always")
     quanta: dict[str, int] = {}
     cells: list[CampaignCell] = []
+    # A mix runs one trace length in all, not one per member.
+    total = catalog.DEFAULT_TRACE_LENGTH if length is None else length
     for label in labels:
-        spec, quantum = _workload_spec(label, length)
-        quanta[label] = quantum
+        quantum = quanta[label] = purge_quantum(label)
+        spec = workload_spec(label, length, quantum, total)
         for size in sizes:
             for fetch in policies:
                 for split in (False, True):

@@ -19,20 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..campaign import run_campaign
-from ..core.jobs import CampaignCell, StackSweepJob, TraceSpec
+from ..core.jobs import CampaignCell, StackSweepJob
 from ..core.multiprog import DEFAULT_QUANTUM
-from ..workloads import catalog
 from .sweep import (
     DATA_KINDS,
     INSTRUCTION_KINDS,
     PAPER_CACHE_SIZES,
     PAPER_LINE_SIZE,
     MissRatioCurve,
+    workload_spec,
 )
 from .tables import render_series
 from .writeback import PAPER_TABLE3
 
-__all__ = ["SplitMissRatioResult", "figures_3_and_4"]
+__all__ = ["SplitMissRatioResult", "figures_3_and_4", "side_jobs"]
 
 #: The workload set of Table 3 / Figures 3-10.
 TABLE3_WORKLOADS: tuple[str, ...] = tuple(PAPER_TABLE3)
@@ -81,6 +81,20 @@ class SplitMissRatioResult:
         return fig3 + "\n\n" + fig4
 
 
+def side_jobs(sizes: Sequence[int], quantum: int) -> dict[str, StackSweepJob]:
+    """The split cache's two sides as LRU stack sweeps, ``"I"`` and ``"D"``
+    (purged every ``quantum`` references of the whole trace)."""
+    return {
+        side: StackSweepJob(
+            sizes=tuple(sizes),
+            line_size=PAPER_LINE_SIZE,
+            kinds=tuple(int(k) for k in kinds),
+            purge_interval=quantum,
+        )
+        for side, kinds in (("I", INSTRUCTION_KINDS), ("D", DATA_KINDS))
+    }
+
+
 def figures_3_and_4(
     labels: Sequence[str] | None = None,
     sizes: Sequence[int] = PAPER_CACHE_SIZES,
@@ -106,28 +120,11 @@ def figures_3_and_4(
         Curves for both figures.
     """
     labels = list(labels) if labels is not None else list(TABLE3_WORKLOADS)
-    side_jobs = {
-        "I": StackSweepJob(
-            sizes=tuple(sizes),
-            line_size=PAPER_LINE_SIZE,
-            kinds=tuple(int(k) for k in INSTRUCTION_KINDS),
-            purge_interval=quantum,
-        ),
-        "D": StackSweepJob(
-            sizes=tuple(sizes),
-            line_size=PAPER_LINE_SIZE,
-            kinds=tuple(int(k) for k in DATA_KINDS),
-            purge_interval=quantum,
-        ),
-    }
+    jobs = side_jobs(sizes, quantum)
     cells = []
     for label in labels:
-        if label in catalog.MULTIPROGRAMMING_MIXES:
-            members = catalog.MULTIPROGRAMMING_MIXES[label]
-            spec = TraceSpec.mix(label, tuple(members), quantum, length=length)
-        else:
-            spec = TraceSpec.catalog(label, length)
-        for side, job in side_jobs.items():
+        spec = workload_spec(label, length, quantum)
+        for side, job in jobs.items():
             cells.append(CampaignCell(label=f"{label}:{side}", trace=spec, job=job))
     # Strict mode: curves are consumed positionally (two cells per
     # workload), so a failed cell raises after its siblings are cached.

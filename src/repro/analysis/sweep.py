@@ -1,10 +1,10 @@
 """Cache-size sweep harness.
 
-Provides the paper's standard size grid and the two sweep styles the
-experiments need: one-pass stack-distance sweeps for LRU demand-fetch
-configurations (Tables 1/5, Figures 1/3/4), and direct simulation sweeps
-for configurations the stack algorithm cannot express (prefetching,
-write-policy traffic — Tables 3/4, Figures 5-10).
+Provides the paper's standard size grid, the resolver from a workload
+label to its campaign cells' trace spec (:func:`workload_spec`, run by
+:func:`workload_campaign`), and two sweep styles over a trace in hand:
+one-pass stack-distance sweeps for LRU demand fetch, and direct
+simulation sweeps for what the stack algorithm cannot express.
 """
 
 from __future__ import annotations
@@ -14,16 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..campaign import run_campaign
+from ..core.jobs import CampaignCell, TraceSpec
+from ..core.multiprog import DEFAULT_QUANTUM
 from ..core.organization import CacheOrganization
 from ..core.simulator import SimulationReport, simulate
 from ..core.stackdist import lru_miss_ratio_curve
 from ..trace.record import AccessKind
 from ..trace.stream import Trace
+from ..workloads import catalog
 
 __all__ = [
     "PAPER_CACHE_SIZES",
     "PAPER_LINE_SIZE",
     "MissRatioCurve",
+    "workload_spec",
+    "workload_campaign",
     "unified_lru_sweep",
     "split_lru_sweep",
     "simulation_sweep",
@@ -71,6 +77,39 @@ class MissRatioCurve:
     def as_array(self) -> np.ndarray:
         """Miss ratios as a numpy array."""
         return np.asarray(self.miss_ratios)
+
+
+def workload_spec(
+    label: str, length: int | None, quantum: int, total: int | None = None
+) -> TraceSpec:
+    """The trace spec of a workload label: for a multiprogramming mix
+    (:data:`repro.workloads.catalog.MULTIPROGRAMMING_MIXES`) its members'
+    round-robin interleave, ``quantum`` references per slice and ``total``
+    in all (None = every member once); else the catalog trace."""
+    if label in catalog.MULTIPROGRAMMING_MIXES:
+        members = tuple(catalog.MULTIPROGRAMMING_MIXES[label])
+        return TraceSpec.mix(label, members, quantum, length=length, total=total)
+    return TraceSpec.catalog(label, length)
+
+
+def workload_campaign(
+    labels: Sequence[str],
+    length: int | None,
+    jobs: dict,
+    quantum: int = DEFAULT_QUANTUM,
+) -> list[list]:
+    """Every job over every workload (:func:`workload_spec`) as one strict
+    campaign, cells labelled ``workload:job``: per workload, the jobs'
+    values in order."""
+    cells = [
+        CampaignCell(f"{label}:{tag}", workload_spec(label, length, quantum), job)
+        for label in labels
+        for tag, job in jobs.items()
+    ]
+    values = iter(
+        outcome.value for outcome in run_campaign(cells, raise_on_error=True).outcomes
+    )
+    return [[next(values) for _ in jobs] for _ in labels]
 
 
 def unified_lru_sweep(

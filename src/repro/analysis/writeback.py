@@ -22,10 +22,9 @@ import statistics
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..core.multiprog import DEFAULT_QUANTUM, simulate_multiprogrammed
-from ..core.address import CacheGeometry
-from ..core.organization import SplitCache
-from ..workloads import catalog
+from ..core.jobs import SimulateJob
+from ..core.multiprog import DEFAULT_QUANTUM
+from .sweep import workload_campaign
 from .tables import render_table
 
 __all__ = ["PAPER_TABLE3", "Table3Row", "Table3Result", "table3_experiment"]
@@ -111,7 +110,7 @@ def table3_experiment(
     cache_bytes_per_side: int = 16 * 1024,
     length: int | None = None,
 ) -> Table3Result:
-    """Run the Table 3 write-back experiment.
+    """Run the Table 3 write-back experiment (one campaign cell per row).
 
     Args:
         labels: workloads to run — single catalog trace names or
@@ -120,8 +119,8 @@ def table3_experiment(
             Defaults to the paper's sixteen Table 3 rows.
         quantum: task-switch quantum in references (purge on switch).
         cache_bytes_per_side: capacity of each of the two split caches.
-        length: total references per workload; defaults to the paper
-            lengths.
+        length: references per trace (a mix runs every member at this
+            length); defaults to the paper lengths.
 
     Returns:
         A :class:`Table3Result`.
@@ -130,18 +129,10 @@ def table3_experiment(
         KeyError: for a label that is neither a trace nor a mix.
     """
     labels = list(labels) if labels is not None else list(PAPER_TABLE3)
+    job = SimulateJob(size=cache_bytes_per_side, split=True, purge_interval=quantum)
+    reports = workload_campaign(labels, length, {"split": job}, quantum)
     rows = []
-    for label in labels:
-        if label in catalog.MULTIPROGRAMMING_MIXES:
-            members = catalog.MULTIPROGRAMMING_MIXES[label]
-            traces = [catalog.generate(m, length) for m in members]
-        else:
-            traces = [catalog.generate(label, length)]
-        report = simulate_multiprogrammed(
-            traces,
-            lambda: SplitCache(CacheGeometry(cache_bytes_per_side, 16)),
-            quantum=quantum,
-        )
+    for label, (report,) in zip(labels, reports):
         stats = report.data
         rows.append(
             Table3Row(

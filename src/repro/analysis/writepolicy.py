@@ -19,24 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.address import CacheGeometry
-from ..core.organization import UnifiedCache
-from ..core.simulator import simulate
-from ..core.write import WritePolicy, WriteStrategy
+from ..core.jobs import SimulateJob
+from ..trace.record import AccessKind
 from ..workloads import catalog
+from .sweep import workload_campaign
 from .tables import render_series
 
 __all__ = ["WritePolicyStudy", "write_policy_study"]
 
-#: The policies compared, in rendering order.
-_POLICIES: tuple[tuple[str, WritePolicy], ...] = (
-    ("copy-back", WritePolicy(WriteStrategy.COPY_BACK, True)),
-    ("write-through", WritePolicy(WriteStrategy.WRITE_THROUGH, False)),
-    (
-        "write-through+combine",
-        WritePolicy(WriteStrategy.WRITE_THROUGH, False, combining_bytes=8),
-    ),
-)
+#: The policies compared, in rendering order: each column's name and the
+#: job ``write`` policy behind it (the combining buffer is 8 bytes wide).
+_COLUMNS: dict[str, str] = {
+    "copy-back": "copy-back",
+    "write-through": "write-through",
+    "write-through+combine": "write-through-combine",
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +61,7 @@ class WritePolicyStudy:
 
     def policy_names(self) -> list[str]:
         """The compared policies, in order."""
-        return [name for name, _ in _POLICIES]
+        return list(_COLUMNS)
 
     def traffic_ratio(self, workload: str, policy: str) -> float:
         """Traffic of ``policy`` relative to copy-back for one workload."""
@@ -110,31 +107,24 @@ def write_policy_study(
     workloads = list(workloads) if workloads is not None else [
         "ZGREP", "VCCOM", "CGO1", "LISP1",
     ]
+    rows = workload_campaign(workloads, length, {
+        column: SimulateJob(size=capacity, write=write, purge_interval=purge_interval)
+        for column, write in _COLUMNS.items()
+    })
     traffic: dict[str, dict[str, int]] = {}
     transactions: dict[str, dict[str, int]] = {}
     misses: dict[str, dict[str, float]] = {}
     store_locality: dict[str, float] = {}
-    for name in workloads:
-        trace = catalog.generate(name, length)
-        traffic[name] = {}
-        transactions[name] = {}
-        misses[name] = {}
-        for policy_name, policy in _POLICIES:
-            organization = UnifiedCache(
-                CacheGeometry(capacity, 16), write_policy=policy
-            )
-            report = simulate(trace, organization, purge_interval=purge_interval)
-            stats = report.overall
-            traffic[name][policy_name] = stats.memory_traffic_bytes
-            transactions[name][policy_name] = (
-                stats.lines_written_back
-                if policy.is_copy_back
-                else stats.write_throughs
-            )
-            misses[name][policy_name] = stats.miss_ratio
+    for name, reports in zip(workloads, rows):
+        stats = {column: report.overall for column, report in zip(_COLUMNS, reports)}
+        traffic[name] = {c: s.memory_traffic_bytes for c, s in stats.items()}
+        transactions[name] = {
+            c: s.lines_written_back if c == "copy-back" else s.write_throughs
+            for c, s in stats.items()
+        }
+        misses[name] = {c: s.miss_ratio for c, s in stats.items()}
         # Store locality: stores per distinct written line.
-        from ..trace.record import AccessKind
-
+        trace = catalog.generate(name, length)
         mask = trace.kinds == int(AccessKind.WRITE)
         written_lines = np.unique(trace.addresses[mask] // 16)
         stores = int(np.count_nonzero(mask))

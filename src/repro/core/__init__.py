@@ -3,9 +3,8 @@
 Everything the paper's experiments need: a set-associative/fully-associative
 cache with LRU (and other) replacement, demand and prefetch fetch policies,
 copy-back and write-through write policies, unified and split organizations,
-sector (block/sub-block) caches, task-switch purging, multiprogrammed
-round-robin simulation, one-pass LRU stack-distance analysis, and a simple
-memory-timing performance model.
+sector (block/sub-block) caches, task-switch purging, one-pass LRU
+stack-distance analysis, and a simple memory-timing performance model.
 """
 
 from .address import CacheGeometry, is_power_of_two, log2_int
@@ -33,7 +32,7 @@ from .misspath import (
     StreamBuffers,
     VictimCache,
 )
-from .multiprog import DEFAULT_QUANTUM, simulate_multiprogrammed
+from .multiprog import DEFAULT_QUANTUM
 from .opt import belady_min_misses, belady_miss_ratio
 from .organization import CacheOrganization, SplitCache, UnifiedCache
 from .replacement import (
@@ -77,7 +76,6 @@ __all__ = [
     "belady_min_misses",
     "belady_miss_ratio",
     "DEFAULT_QUANTUM",
-    "simulate_multiprogrammed",
     "CacheOrganization",
     "SplitCache",
     "UnifiedCache",

@@ -13,8 +13,8 @@ Both mechanisms need the *description* of a cell to be self-contained:
 
 A cell is a :class:`CampaignCell`: a :class:`TraceSpec` describing how to
 obtain the reference stream, plus a job describing what to do with it —
-a :class:`SimulateJob` (one direct simulation, miss-path mechanisms
-optional, yielding a :class:`~repro.core.simulator.SimulationReport`), a
+a :class:`SimulateJob` (one direct simulation, optionally with miss-path
+mechanisms or a sector cache, yielding a ``SimulationReport``), a
 :class:`StackSweepJob` (a one-pass LRU stack-distance sweep over several
 capacities, yielding a miss-ratio tuple), or an
 :class:`AssociativitySweepJob` (a one-pass-per-set-count sweep over a
@@ -51,6 +51,7 @@ from .misspath import MechanismConfig
 from .organization import CacheOrganization, SplitCache, UnifiedCache
 from .replacement import _POLICIES as _REPLACEMENT_POLICIES
 from .replacement import policy_factory
+from .sector import SectorCacheOrganization, SectorGeometry
 from .simulator import SimulationReport, simulate
 from .stackdist import lru_miss_ratio_curve
 from .write import WritePolicy, WriteStrategy
@@ -91,6 +92,9 @@ _WRITE_POLICIES = {
     "write-through": WritePolicy(WriteStrategy.WRITE_THROUGH, allocate_on_write=False),
     "write-through-allocate": WritePolicy(
         WriteStrategy.WRITE_THROUGH, allocate_on_write=True
+    ),
+    "write-through-combine": WritePolicy(
+        WriteStrategy.WRITE_THROUGH, allocate_on_write=False, combining_bytes=8
     ),
 }
 _FETCH_POLICIES = {policy.value: policy for policy in FetchPolicy}
@@ -372,6 +376,9 @@ class SimulateJob(_Job):
     :class:`ValueError` when the job is built.  ``mechanisms`` attaches
     miss-path components and, when active, is part of the identity; an
     inactive :class:`~repro.core.misspath.MechanismConfig` is stored as None.
+    ``subblock`` makes it the Z80000's sector cache (:mod:`repro.core.sector`:
+    ``line_size``-byte sectors fetched ``subblock`` bytes at a time); like
+    ``mechanisms``, it is part of the identity only when set.
 
     ``engine`` selects the replay engine as in
     :func:`repro.core.simulator.simulate` and is *excluded* from the cache
@@ -396,6 +403,7 @@ class SimulateJob(_Job):
     mechanisms: MechanismConfig | None = field(
         default=None, metadata={"content": "when-set"}
     )
+    subblock: int | None = field(default=None, metadata={"content": "when-set"})
     engine: str = field(default="auto", metadata={"content": False})
 
     def __post_init__(self) -> None:
@@ -406,9 +414,26 @@ class SimulateJob(_Job):
                 raise ValueError(f"unknown {name} {value!r}; expected one of {sorted(known)}")
         if self.mechanisms is not None and not self.mechanisms.active:
             object.__setattr__(self, "mechanisms", None)
+        if self.subblock is not None:
+            conflicts = [name for name, given in (
+                ("split", self.split), ("mechanisms", self.mechanisms is not None),
+                ("associativity", self.associativity is not None),
+                ("replacement", self.replacement != "lru"),
+                ("fetch", self.fetch != "demand"),
+            ) if given]
+            if conflicts:
+                raise ValueError(
+                    f"a sector cache (subblock) cannot take {', '.join(conflicts)}: "
+                    "it is unified, fully associative LRU with demand fetch"
+                )
 
     def build_organization(self) -> CacheOrganization:
         """A fresh organization for one run of this job."""
+        if self.subblock is not None:
+            return SectorCacheOrganization(
+                SectorGeometry(self.size, self.line_size, self.subblock),
+                copy_back=self.write == "copy-back",
+            )
         geometry = CacheGeometry(self.size, self.line_size, self.associativity)
         organization_cls = SplitCache if self.split else UnifiedCache
         return organization_cls(

@@ -1,57 +1,14 @@
-"""Multiprogrammed simulation, the paper's Table 3 methodology.
+"""The paper's multiprogramming quantum.
 
-Four of the paper's write-back measurements come from multiprogramming
-simulations "in which the traces were run through the simulator in a round
-robin manner, switching and purging every 20,000 memory references."  This
-module packages that recipe: interleave the member traces round-robin with
-a given quantum, and purge the cache at every switch.
+Table 3's mixes run "in a round robin manner, switching and purging every
+20,000 memory references": in a campaign, a ``mix`` trace spec whose job
+purges at the same interval (:func:`repro.analysis.sweep.workload_spec`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-
-from ..trace.filters import interleave_round_robin
-from ..trace.stream import Trace
-from .organization import CacheOrganization
-from .simulator import SimulationReport, simulate
-
-__all__ = ["simulate_multiprogrammed", "DEFAULT_QUANTUM"]
+__all__ = ["DEFAULT_QUANTUM"]
 
 #: The paper's standard task-switch quantum in references ("We believe that
 #: the value 20,000 is reasonable and representative").
 DEFAULT_QUANTUM = 20_000
-
-
-def simulate_multiprogrammed(
-    traces: Sequence[Trace],
-    make_organization: Callable[[], CacheOrganization],
-    quantum: int = DEFAULT_QUANTUM,
-    length: int | None = None,
-) -> SimulationReport:
-    """Round-robin multiprogramming run with purge-on-switch.
-
-    Args:
-        traces: the member programs of the mix (a single trace reproduces
-            the paper's uniprogrammed-with-purging runs).
-        make_organization: factory for a fresh cache organization.
-        quantum: references per time slice; the cache is purged at each
-            switch.
-        length: total references to simulate; defaults to the summed trace
-            lengths.
-
-    Returns:
-        The simulation report for the mixed stream.
-    """
-    if len(traces) == 1 and (length is None or length <= len(traces[0])):
-        # Uniprogrammed run: the raw trace (truncated if asked), with the
-        # purge clock still ticking every quantum.
-        mixed = traces[0] if length is None else traces[0][:length]
-    else:
-        # Multi-trace mixes — and a single trace asked to run *longer*
-        # than it is — share the restart semantics of the round-robin
-        # interleave: an exhausted program resumes from its beginning, so
-        # ``length`` references are always simulated (the paper's runs
-        # were bounded by total references, not by trace end).
-        mixed = interleave_round_robin(traces, quantum=quantum, length=length)
-    return simulate(mixed, make_organization(), purge_interval=quantum)

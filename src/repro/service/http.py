@@ -35,7 +35,9 @@ benchmarks, and embedding callers use.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import signal
 import threading
 
 from .queue import QuotaExceeded
@@ -274,6 +276,9 @@ async def serve(
 ) -> None:
     """Run the service until cancelled (the ``repro-cachesim serve`` body).
 
+    On the main thread SIGTERM cancels it too, so the scheduler and its
+    worker processes shut down rather than outlive it.
+
     ``ready``, if given, is called with the started :class:`ServiceServer`
     once the socket is listening (startup hook for embedding callers).
     """
@@ -281,12 +286,19 @@ async def serve(
     await server.start()
     if ready is not None:
         ready(server)
+    loop = asyncio.get_running_loop()
+    try:
+        loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
+    except (NotImplementedError, RuntimeError):
+        pass  # no signal handling off the main thread: cancellation only
     try:
         await server.serve_forever()
     except asyncio.CancelledError:
         pass
     finally:
         await server.close()
+        with contextlib.suppress(NotImplementedError):
+            loop.remove_signal_handler(signal.SIGTERM)
 
 
 class BackgroundServer:

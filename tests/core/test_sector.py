@@ -1,8 +1,17 @@
 """Tests for the sector (block/sub-block) cache — the Z80000 design."""
 
+import dataclasses
+
 import pytest
 
-from repro.core import SectorCache, SectorGeometry
+from repro.core import (
+    DEFAULT_QUANTUM,
+    SectorCache,
+    SectorCacheOrganization,
+    SectorGeometry,
+    simulate,
+)
+from repro.core.jobs import CampaignCell, SimulateJob, TraceSpec, run_cell
 from repro.trace import AccessKind, MemoryAccess
 
 _R = int(AccessKind.READ)
@@ -104,3 +113,25 @@ class TestSectorSemantics:
                 cache.access_raw(_R, address, 2)
             results[subblock] = cache.stats.miss_ratio
         assert results[2] > results[4] > results[16]
+
+
+class TestSectorCell:
+    """A ``SimulateJob`` with ``subblock`` set is the Z80000 sector cache."""
+
+    @pytest.mark.parametrize("subblock, write", [
+        (2, "copy-back"), (4, "copy-back"), (16, "write-through"),
+    ])
+    def test_cell_report_equals_direct_simulation(self, subblock, write):
+        spec = TraceSpec.catalog("ZGREP", 30_000)
+        job = SimulateJob(size=256, subblock=subblock, write=write,
+                          purge_interval=DEFAULT_QUANTUM)
+        report = run_cell(CampaignCell("z80000", spec, job)).value
+        direct = simulate(
+            spec.build(),
+            SectorCacheOrganization(SectorGeometry(256, 16, subblock),
+                                    copy_back=write == "copy-back"),
+            purge_interval=DEFAULT_QUANTUM,
+        )
+        for field in dataclasses.fields(direct):
+            assert getattr(report, field.name) == getattr(direct, field.name), field.name
+        assert report.overall.purges == 1

@@ -1,4 +1,4 @@
-"""Tests for the drive loop and multiprogramming helper."""
+"""Tests for the drive loop, alone and over round-robin mixes."""
 
 import math
 
@@ -9,9 +9,9 @@ from repro.core import (
     SplitCache,
     UnifiedCache,
     simulate,
-    simulate_multiprogrammed,
 )
 from repro.trace import AccessKind
+from repro.trace.filters import interleave_round_robin
 
 from ..conftest import make_trace
 
@@ -84,9 +84,13 @@ class TestSimulate:
 
 
 class TestMultiprogrammed:
+    """The paper's multiprogramming recipe: a round-robin interleave
+    simulated with the purge interval set to its quantum."""
+
     def test_single_trace_passthrough(self, tiny_trace):
-        report = simulate_multiprogrammed(
-            [tiny_trace], lambda: UnifiedCache(CacheGeometry(64, 16)), quantum=3
+        report = simulate(
+            interleave_round_robin([tiny_trace], quantum=3),
+            UnifiedCache(CacheGeometry(64, 16)), purge_interval=3,
         )
         assert report.references == len(tiny_trace)
         assert report.overall.purges == 2
@@ -94,8 +98,9 @@ class TestMultiprogrammed:
     def test_mix_interleaves_and_purges(self):
         a = make_trace([(_R, i * 16) for i in range(8)], name="A")
         b = make_trace([(_R, i * 16) for i in range(8)], name="B")
-        report = simulate_multiprogrammed(
-            [a, b], lambda: UnifiedCache(CacheGeometry(256, 16)), quantum=4
+        report = simulate(
+            interleave_round_robin([a, b], quantum=4),
+            UnifiedCache(CacheGeometry(256, 16)), purge_interval=4,
         )
         assert report.references == 16
         assert report.overall.purges == 4
@@ -104,15 +109,16 @@ class TestMultiprogrammed:
 
     def test_length_bound(self):
         a = make_trace([(_R, i * 16) for i in range(8)], name="A")
-        report = simulate_multiprogrammed(
-            [a, a], lambda: UnifiedCache(CacheGeometry(256, 16)), quantum=4, length=10
+        report = simulate(
+            interleave_round_robin([a, a], quantum=4, length=10),
+            UnifiedCache(CacheGeometry(256, 16)), purge_interval=4,
         )
         assert report.references == 10
 
     def test_single_trace_truncates_when_shorter(self, tiny_trace):
-        report = simulate_multiprogrammed(
-            [tiny_trace], lambda: UnifiedCache(CacheGeometry(64, 16)),
-            quantum=3, length=5,
+        report = simulate(
+            interleave_round_robin([tiny_trace], quantum=3, length=5),
+            UnifiedCache(CacheGeometry(64, 16)), purge_interval=3,
         )
         assert report.references == 5
 
@@ -121,12 +127,14 @@ class TestMultiprogrammed:
         # around like an exhausted member of a multi-trace mix, not
         # silently truncate at the trace end.
         a = make_trace([(_R, i * 16) for i in range(6)], name="A")
-        report = simulate_multiprogrammed(
-            [a], lambda: UnifiedCache(CacheGeometry(256, 16)), quantum=4, length=14
+        report = simulate(
+            interleave_round_robin([a], quantum=4, length=14),
+            UnifiedCache(CacheGeometry(256, 16)), purge_interval=4,
         )
         assert report.references == 14
         # Same length via the two-member path: identical restart semantics.
-        doubled = simulate_multiprogrammed(
-            [a, a], lambda: UnifiedCache(CacheGeometry(256, 16)), quantum=4, length=14
+        doubled = simulate(
+            interleave_round_robin([a, a], quantum=4, length=14),
+            UnifiedCache(CacheGeometry(256, 16)), purge_interval=4,
         )
         assert doubled.references == 14

@@ -11,6 +11,8 @@ from repro.core.jobs import (
     StackSweepJob,
     TraceSpec,
     cell_key,
+    job_document,
+    job_from_document,
     run_cell,
 )
 from repro.core.misspath import MechanismConfig
@@ -61,6 +63,11 @@ class TestRoundTrip:
             "mix",
             TraceSpec.mix("pair", ("ZGREP", "PLO"), quantum=500, length=LENGTH),
             SimulateJob(size=1024),
+        ),
+        CampaignCell(
+            "sector",
+            TraceSpec.catalog("ZGREP", LENGTH),
+            SimulateJob(size=256, subblock=4, purge_interval=20_000),
         ),
     ]
 
@@ -158,6 +165,9 @@ BAD_FIELDS = [
     ({"mechanisms": {"victim_entries": "4"}}, None, "victim_entries"),
     ({"mechanisms": {"victim": 4}}, None, "victim"),
     ({"mechanisms": [4]}, None, "mechanisms"),
+    ({"subblock": "4"}, None, "subblock"),
+    ({"subblock": 4.0}, None, "subblock"),
+    ({"subblock": True}, None, "subblock"),
     ({"type": "stack-sweep", "sizes": [512, 2048.0]}, None, "sizes"),
     ({"type": "stack-sweep", "sizes": []}, None, "sizes"),
     ({"type": "stack-sweep", "sizes": [512], "kinds": "0"}, None, "kinds"),
@@ -189,6 +199,24 @@ class TestStrictDecoding:
         for name in ("replacement", "write", "fetch"):
             with pytest.raises(ValueError, match=f"unknown {name} 'nope'"):
                 SimulateJob(size=1024, **{name: "nope"})
+
+    def test_subblock_round_trips_and_is_listed_only_when_set(self):
+        job = SimulateJob(size=256, subblock=2, write="write-through")
+        assert job_document(job)["subblock"] == 2
+        assert job_from_document(job_document(job)) == job
+        assert "subblock" not in job_document(SimulateJob(size=256))
+
+    @pytest.mark.parametrize("conflict", [
+        {"split": True},
+        {"mechanisms": MechanismConfig(victim_entries=4)},
+        {"associativity": 1},
+        {"replacement": "fifo"},
+        {"fetch": "prefetch-always"},
+    ], ids=lambda conflict: next(iter(conflict)))
+    def test_sector_jobs_refuse_what_a_sector_cache_lacks(self, conflict):
+        (name,) = conflict
+        with pytest.raises(ValueError, match=name):
+            SimulateJob(size=256, subblock=4, **conflict)
 
     def test_inactive_mechanisms_key_like_none(self):
         (cell,) = decode_cells(cell_doc({"mechanisms": {"stream_depth": 8}}))
