@@ -45,9 +45,10 @@ therefore degrades gracefully instead of failing all-or-nothing:
   :class:`CampaignError` after all cells have been collected).
 * **Retries and timeouts** — the scheduler retries transient failures
   (``REPRO_RETRIES`` / ``retries=``, ``REPRO_RETRY_BACKOFF`` /
-  ``backoff=``) and fails a pool cell that outlives ``REPRO_CELL_TIMEOUT``
-  / ``timeout=`` with ``TimeoutError``; see ``docs/campaign.md``.  A cell
-  whose worker keeps dying runs once more in-process.
+  ``backoff=``) and fails a cell that outlives ``REPRO_CELL_TIMEOUT`` /
+  ``timeout=`` with ``TimeoutError``: with a limit set, cells run on pool
+  workers even when serial; see ``docs/campaign.md``.  Without a limit,
+  a cell whose worker keeps dying runs once more in-process.
 * **Observability** — the ``progress`` callback streams in submission
   order as outcomes become known, and every lifecycle step can be
   appended to a JSONL event log (:class:`EventLog`, ``events=`` /
@@ -511,7 +512,8 @@ def run_campaign(
     Args:
         cells: the trace x configuration cells to run.
         workers: process count; defaults to ``REPRO_WORKERS`` or
-            ``os.cpu_count()``.  1 means serial in-process execution.
+            ``os.cpu_count()``.  1 means serial execution, in-process
+            unless a timeout is set.
         cache: result cache — a :class:`ResultCache`, a directory path,
             ``True`` to require ``REPRO_CACHE_DIR`` (``ValueError`` if
             unset), ``False`` to disable, or ``None`` to use
@@ -526,9 +528,12 @@ def run_campaign(
             ``REPRO_RETRIES`` or 2.
         backoff: base backoff seconds between retries (capped exponential);
             defaults to ``REPRO_RETRY_BACKOFF`` or 0.1.
-        timeout: per-cell wall-time limit in seconds, enforced on the
-            process pool (not on in-process cells); defaults to
-            ``REPRO_CELL_TIMEOUT`` (unset = no limit).
+        timeout: per-cell wall-time limit in seconds; defaults to
+            ``REPRO_CELL_TIMEOUT`` (unset = no limit).  With a limit set,
+            every cell missing from the result cache runs on a process
+            pool (one worker when serial) so that it can be stopped, and
+            a cell whose worker keeps dying fails rather than running
+            once more in this process.
         events: JSONL event log — an :class:`EventLog`, a path, or
             ``None`` to use ``REPRO_EVENT_LOG`` (no log if unset).
         runner: the per-cell execution function (the fault-injection seam
@@ -577,9 +582,14 @@ def run_campaign(
             key: cell for key, cell in zip(state.keys, cells)
             if scheduler.cache is None or key not in scheduler.cache
         }
-        if count > 1 and len(misses) > 1:
+        # A timeout can only stop a cell on a pool worker, so a bounded
+        # campaign runs every cache miss there, serial ones included, and
+        # never falls back to running a cell in this process.
+        bounded = scheduler.timeout is not None
+        if misses and (bounded or (count > 1 and len(misses) > 1)):
             scheduler.backend = PoolBackend(min(count, len(misses)), runner=runner)
-            scheduler.fallback = InlineBackend(capacity=1, runner=runner)
+            if not bounded:
+                scheduler.fallback = InlineBackend(capacity=1, runner=runner)
         _prime_trace_store(list(misses.values()), log)
         _run_private_loop(execute(scheduler, state))
     finally:

@@ -24,9 +24,14 @@ instead of brute-force per-reference dispatch:
   a miss-path chain (victim/miss caches, stream buffers, an L2): a
   direct-mapped hit is "the previous reference to this set touched the
   same line", one O(n) classification per trace view shared by every
-  chain, and a Python loop then visits only the misses, purges and the
-  warmup reset, driving the real chain objects (or an inert one).  All
-  three paths credit the cache's statistics through one helper.
+  chain.  Without an L2 the chain cannot change what a primary holds,
+  so each component replays the misses through its own hooks, one
+  component at a time, and the primaries' accounting is whole-array
+  passes (no Python per miss without a chain).  An L2 can
+  back-invalidate primary lines, so with one a Python loop visits the
+  misses, purges and the warmup reset in trace order, driving the real
+  chain.  All three paths credit the cache's statistics through one
+  helper.
   :func:`repro.core.simulator.simulate` selects the kernel automatically
   when :func:`can_replay` approves the organization.
 
@@ -58,6 +63,7 @@ from ..trace.record import AccessKind
 from ..trace.stream import Trace
 from .cache import FLAG_DATA, FLAG_DIRTY, FLAG_REFERENCED, Cache
 from .fetch import FetchPolicy
+from .misspath import MissCache, MissPathComponent, StreamBuffers, VictimCache
 from .organization import CacheOrganization
 from .replacement import FIFO, LRU, RandomReplacement
 from .stackdist import (
@@ -176,8 +182,12 @@ def lru_demand_replay(
     ==============  ===========================  ===========================
     policy          starting state               path
     ==============  ===========================  ===========================
+    LRU/FIFO,       cold, allocate-on-write,     miss-stream replay: array
+    every member    no miss path, or victim/     passes for the primaries,
+    1-way           miss caches and stream       one pass per component
+                    buffers only
     LRU/FIFO,       cold, allocate-on-write,     miss-stream replay: loop
-    every member    with or without a miss path  over misses, real or inert
+    every member    any other miss path (an L2)  over misses driving the
     1-way                                        chain
     LRU             cold, allocate-on-write      vectorized stack-distance
                     (any warmup)                 replay
@@ -217,9 +227,7 @@ def lru_demand_replay(
         member_of = np.asarray(routing, dtype=np.int8)[kinds]
 
     chain = members[0].miss_path
-    if chain is None and all(_fits_miss_stream(cache) for cache in members):
-        chain = _NO_CHAIN
-    if chain is not None:
+    if chain is not None or all(_fits_miss_stream(cache) for cache in members):
         stream = compiled.memo(
             (
                 "miss-stream",
@@ -237,10 +245,17 @@ def lru_demand_replay(
                 purge_positions,
             ),
         )
-        _replay_miss_stream(
-            members, chain, stream, kinds, lines, positions, member_of,
-            purge_positions, warmup,
-        )
+        components = chain.components if chain is not None else ()
+        if all(type(comp) in _PASS_COMPONENTS for comp in components):
+            _replay_miss_passes(
+                members, components, stream, kinds, lines, positions, member_of,
+                purge_positions, warmup,
+            )
+        else:
+            _replay_miss_events(
+                members, chain, stream, kinds, lines, positions, member_of,
+                purge_positions, warmup,
+            )
     else:
         for index, cache in enumerate(members):
             policy = _policy_kind(cache)
@@ -620,6 +635,8 @@ class _MissStream:
         "miss_prev",     # sorted position of the segment's previous miss, or -1
         "victim_data",   # a data reference lies in [miss_prev, miss_rank)
         "victim_write",  # a write lies in [miss_prev, miss_rank)
+        "miss_victim",   # the miss that filled the line it evicts, or -1
+        "miss_last",     # its line stays resident to the segment's end
     )
 
     def __init__(self, **fields) -> None:
@@ -673,6 +690,13 @@ def _build_miss_stream(
 
     index = order[rank]
     by_time = np.argsort(index)
+    # The segment's previous miss (rank order i - 1) filled the line that
+    # miss i evicts; name it by its trace-order position among the misses.
+    time_of = np.empty_like(by_time)
+    time_of[by_time] = np.arange(len(by_time))
+    victim = np.where(prev >= 0, np.roll(time_of, 1), -1)
+    last = np.ones(len(rank), dtype=bool)
+    last[:-1] = prev[1:] < 0
     return _MissStream(
         order=order,
         cum_data=cum_data,
@@ -684,34 +708,227 @@ def _build_miss_stream(
         miss_prev=prev[by_time],
         victim_data=victim_data[by_time],
         victim_write=victim_write[by_time],
+        miss_victim=victim[by_time],
+        miss_last=last[by_time],
     )
 
 
-class _InertChain:
-    """The miss path of a chain-less organization on the miss-stream
-    replay: memory services every miss and keeps every victim."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def service_miss(kind: int, line: int) -> int:
-        return 0
-
-    @staticmethod
-    def on_evict(line: int, flags: int) -> bool:
-        return False
-
-    def purge(self) -> None:
-        pass
-
-    def reset_statistics(self) -> None:
-        pass
+def _victim_flags(stream: _MissStream, copy_back: bool) -> np.ndarray:
+    """Per miss, the flags its victim's references gathered (0: no victim);
+    a victim's fill adds its extra bits on top."""
+    return (
+        np.where(stream.miss_prev >= 0, FLAG_REFERENCED, 0)
+        | np.where(stream.victim_data, FLAG_DATA, 0)
+        | np.where(stream.victim_write & copy_back, FLAG_DIRTY, 0)
+    )
 
 
-_NO_CHAIN = _InertChain()
+def _span_flags(
+    stream: _MissStream, start: np.ndarray, stop: np.ndarray, copy_back: bool
+) -> np.ndarray:
+    """Flags ORed by the references in each sorted range [start, stop)."""
+    cum_data, cum_write = stream.cum_data, stream.cum_write
+    flags = np.where(stop > start, FLAG_REFERENCED, 0) | np.where(
+        cum_data[stop] > cum_data[start], FLAG_DATA, 0
+    )
+    if copy_back:
+        flags |= np.where(cum_write[stop] > cum_write[start], FLAG_DIRTY, 0)
+    return flags
 
 
-def _replay_miss_stream(
+def _kind_tallies(
+    kinds: np.ndarray,
+    member_of: np.ndarray | None,
+    index: np.ndarray,
+    reset_at: int,
+    count: int,
+) -> tuple[list[int], list[int]]:
+    """Measured references and classified misses per (member, kind), as
+    flat lists indexed ``4 * member + kind``."""
+    slot = kinds[reset_at:].astype(np.int64)
+    miss_slot = kinds[index].astype(np.int64)
+    if member_of is not None:
+        slot += 4 * member_of[reset_at:]
+        miss_slot += 4 * member_of[index]
+    refs = np.bincount(slot, minlength=4 * count).tolist()
+    misses = np.bincount(miss_slot[index >= reset_at], minlength=4 * count).tolist()
+    return refs, misses
+
+
+#: Components whose passes :func:`_replay_miss_passes` runs one at a
+#: time: none of them changes what a primary holds.
+_PASS_COMPONENTS = (VictimCache, MissCache, StreamBuffers)
+
+
+def _overrides(component: MissPathComponent, hook: str):
+    """``component``'s bound ``hook``, or None if its class inherits the
+    base no-op."""
+    if getattr(type(component), hook) is getattr(MissPathComponent, hook):
+        return None
+    return getattr(component, hook)
+
+
+def _replay_component(
+    component: MissPathComponent,
+    events: list[tuple[int, int, int]],
+    m_kind: list[int],
+    m_line: list[int],
+    m_victim: list[int],
+    m_standard: list[int],
+    source: list,
+    extra: list[int],
+    offered: list[bool],
+) -> None:
+    """Drive one component through every primary miss, in trace order.
+
+    Miss ``j`` probes the component only if no earlier component serviced
+    it (``source[j] is None``); ``on_fill`` sees every miss, with the
+    servicing component so far or None; ``on_evict`` sees the victim only
+    while ``offered[j]``, i.e. no earlier component captured it.  The
+    victim's flags are its residency's ``m_standard`` flags OR the extra
+    bits its fill received.  A miss that a later component services
+    reaches ``on_fill`` with None, as that component's pass has not run
+    yet; the classes of :data:`_PASS_COMPONENTS` only ask whether the
+    source is themselves.  ``events`` are ``(stop, position, tag)``
+    triples in order: the purge or warmup reset fires after the first
+    ``stop`` misses.
+    """
+    probe = component.probe
+    on_fill = _overrides(component, "on_fill")
+    on_evict = _overrides(component, "on_evict")
+    start = 0
+    for stop, _, tag in events:
+        for j in range(start, stop):
+            serviced = source[j]
+            if serviced is None:
+                result = probe(m_kind[j], m_line[j])
+                if result is not None:
+                    source[j] = serviced = component
+                    extra[j] = result
+            if on_fill is not None:
+                on_fill(m_kind[j], m_line[j], serviced)
+            if on_evict is not None and offered[j]:
+                fill = m_victim[j]
+                if on_evict(m_line[fill], m_standard[j] | extra[fill]):
+                    offered[j] = False
+        start = stop
+        if tag == _PURGE:
+            component.purge()
+        elif tag == _RESET:
+            component.reset_statistics()
+
+
+def _replay_miss_passes(
+    members: tuple[Cache, ...],
+    components: tuple[MissPathComponent, ...],
+    stream: _MissStream,
+    kinds: np.ndarray,
+    lines: np.ndarray,
+    positions: np.ndarray,
+    member_of: np.ndarray | None,
+    purge_positions: range,
+    warmup: int,
+) -> None:
+    """Replay direct-mapped members whose chain cannot change their contents.
+
+    Without an L2, the primaries' misses and victims are fixed by the
+    trace, so the chain decides only which component serviced each miss,
+    which captured each victim, and the extra flag bits a fill receives.
+    Each component replays its whole event stream in chain order
+    (:func:`_replay_component`), passing those on to the components after
+    it; the primaries' statistics and final contents then come from
+    whole-array passes over the stream.  With no components, no Python
+    runs per miss.
+    """
+    count = len(members)
+    copy_back = members[0].write_policy.is_copy_back
+    index = stream.miss_index
+    victim = stream.miss_victim
+    has_victim = victim >= 0
+    pp = np.asarray(purge_positions, dtype=np.int64)
+    purge_at = np.searchsorted(positions, pp)
+    reset_at = int(np.searchsorted(positions, warmup)) if warmup else 0
+    standard = _victim_flags(stream, copy_back)
+
+    extra = np.zeros(len(index), dtype=np.int64)
+    offered = has_victim  # victims no component captured
+    if components:
+        # A purge at a miss's position precedes it, and so does a reset;
+        # between two misses, purges and the reset keep their trace order,
+        # and a purge at the reset's position precedes the reset.
+        events = [
+            (stop, at, _PURGE)
+            for stop, at in zip(np.searchsorted(index, purge_at).tolist(), purge_at.tolist())
+        ]
+        if warmup:
+            events.append((int(np.searchsorted(index, reset_at)), reset_at, _RESET))
+        events.sort()
+        events.append((len(index), len(positions), -1))
+        source = [None] * len(index)
+        extra_list = extra.tolist()
+        offered_list = offered.tolist()
+        m_kind = kinds[index].tolist()
+        m_line = lines[index].tolist()
+        m_victim = victim.tolist()
+        m_standard = standard.tolist()
+        for component in components:
+            _replay_component(
+                component, events, m_kind, m_line, m_victim, m_standard,
+                source, extra_list, offered_list,
+            )
+        extra = np.array(extra_list, dtype=np.int64)
+        offered = np.array(offered_list, dtype=bool)
+    evicted_flags = standard | np.where(has_victim, extra[victim], 0)
+
+    # Every measured victim is a replacement push; the primary pushes the
+    # flags of the ones no component captured.
+    measured = index >= reset_at
+    replaced = has_victim & measured
+    pushed = offered & measured
+
+    # The last miss of a segment holds its set until the segment's purge,
+    # or to the end of the replay in the last epoch.
+    last = np.flatnonzero(stream.miss_last)
+    held_flags = extra[last] | _span_flags(
+        stream, stream.miss_rank[last], stream.miss_end[last], copy_back
+    )
+    epoch = np.searchsorted(purge_at, index[last], side="right")
+    counted_purge = purge_at > reset_at if warmup else np.ones(len(pp), dtype=bool)
+    purged = epoch < len(pp)
+    purged[purged] = counted_purge[epoch[purged]]
+    final = epoch == len(pp)
+
+    ref_counts, miss_counts = _kind_tallies(kinds, member_of, index, reset_at, count)
+    purges = int(np.count_nonzero(counted_purge))
+    if warmup:
+        for cache in members:
+            cache.reset_statistics()
+    for member, cache in enumerate(members):
+        if member_of is None:
+            mine, held_mine = replaced, purged
+            pushed_mine = pushed
+        else:
+            in_member = member_of[index] == member
+            mine = replaced & in_member
+            pushed_mine = pushed & in_member
+            held_mine = purged & in_member[last]
+        misses = miss_counts[4 * member : 4 * member + 4]
+        _credit(
+            cache, ref_counts[4 * member : 4 * member + 4], misses, sum(misses),
+            int(np.count_nonzero(mine)), int(np.count_nonzero(held_mine)),
+            np.concatenate([evicted_flags[pushed_mine], held_flags[held_mine]]),
+            purges,
+        )
+
+    bases = [0, members[0].geometry.num_sets]
+    final_sets = stream.miss_set[last[final]].tolist()
+    final_lines = lines[index[last[final]]].tolist()
+    for s, line, flags in zip(final_sets, final_lines, held_flags[final].tolist()):
+        member = 0 if s < bases[1] else 1
+        members[member]._sets[s - bases[member]][line] = flags
+
+
+def _replay_miss_events(
     members: tuple[Cache, ...],
     chain,
     stream: _MissStream,
@@ -724,7 +941,9 @@ def _replay_miss_stream(
 ) -> None:
     """Replay direct-mapped members sharing ``chain``, visiting misses only.
 
-    Hits never reach a mechanism, so the loop walks the classified misses,
+    The route for chains that :func:`_replay_miss_passes` cannot take: an
+    L2, or a component class it does not know.  Hits never reach a
+    mechanism, so the loop walks the classified misses,
     purges and the warmup reset in trace order and drives the real chain
     objects exactly as :meth:`Cache._reference_line` would:
     ``service_miss`` first, then ``on_evict`` of the set's resident line,
@@ -750,15 +969,10 @@ def _replay_miss_stream(
     order, cum_data, cum_write = stream.order, stream.cum_data, stream.cum_write
 
     index = stream.miss_index
-    miss_kinds = kinds[index]
     miss_members = (
         member_of[index] if member_of is not None else np.zeros(len(index), np.int8)
     )
-    standard = (
-        np.where(stream.miss_prev >= 0, FLAG_REFERENCED, 0)
-        | np.where(stream.victim_data, FLAG_DATA, 0)
-        | np.where(stream.victim_write & copy_back, FLAG_DIRTY, 0)
-    )
+    standard = _victim_flags(stream, copy_back)
 
     # One event sequence in trace order: misses, purges, the warmup reset.
     purge_at = np.searchsorted(positions, np.asarray(purge_positions, np.int64))
@@ -779,7 +993,7 @@ def _replay_miss_stream(
 
     m_set = stream.miss_set.tolist()
     m_line = lines[index].tolist()
-    m_kind = miss_kinds.tolist()
+    m_kind = kinds[index].tolist()
     m_member = miss_members.tolist()
     m_rank = stream.miss_rank.tolist()
     m_end = stream.miss_end.tolist()
@@ -816,11 +1030,7 @@ def _replay_miss_stream(
         start = np.array([res_start[s] for s in held], dtype=np.int64)
         stop = np.array([res_end[s] for s in held], dtype=np.int64)
         flags = np.array([res_extra[s] for s in held], dtype=np.int64)
-        flags |= np.where(stop > start, FLAG_REFERENCED, 0)
-        flags |= np.where(cum_data[stop] > cum_data[start], FLAG_DATA, 0)
-        if copy_back:
-            flags |= np.where(cum_write[stop] > cum_write[start], FLAG_DIRTY, 0)
-        return flags.tolist()
+        return (flags | _span_flags(stream, start, stop, copy_back)).tolist()
 
     def miss(at, s, line, kind, member, rank, end, prev, standard_flags):
         nonlocal now
@@ -902,14 +1112,7 @@ def _replay_miss_stream(
 
     # References and classified misses are whole-array tallies over the
     # measured region; everything else came out of the loop.
-    measured = index >= reset_at
-    slot = kinds[reset_at:].astype(np.int64)
-    if member_of is not None:
-        slot += 4 * member_of[reset_at:]
-    ref_counts = np.bincount(slot, minlength=4 * count).tolist()
-    miss_counts = np.bincount(
-        (4 * miss_members.astype(np.int64) + miss_kinds)[measured], minlength=4 * count
-    ).tolist()
+    ref_counts, miss_counts = _kind_tallies(kinds, member_of, index, reset_at, count)
     for member, cache in enumerate(members):
         slots = slice(4 * member, 4 * member + 4)
         misses = [a + b for a, b in zip(miss_counts[slots], injected[member])]

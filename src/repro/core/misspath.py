@@ -52,7 +52,7 @@ Model simplifications (documented deliberately):
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..trace.record import AccessKind
@@ -377,8 +377,9 @@ class StreamBuffers(MissPathComponent):
         super().__init__()
         self.buffers = buffers
         self.depth = depth
-        self._queues: list[deque[int]] = [deque() for _ in range(buffers)]
-        self._next: list[int] = [0] * buffers
+        # A buffer's queue is always the run ``[head, head + depth)``, so
+        # its head stands for it; -1 marks an empty buffer.
+        self._heads: list[int] = [-1] * buffers
         self._used: list[int] = [0] * buffers
         self._tick = 0
 
@@ -386,39 +387,40 @@ class StreamBuffers(MissPathComponent):
         counts = self.stats.counts_by_kind()[kind]
         counts.references += 1
         self._tick += 1
-        for index, queue in enumerate(self._queues):
-            if queue and queue[0] == line:
-                queue.popleft()
-                queue.append(self._next[index])
-                self._next[index] += 1
-                stats = self.stats
-                stats.prefetches += 1
-                stats.useful_prefetches += 1
-                self._used[index] = self._tick
-                return 0
+        heads = self._heads
+        stats = self.stats
+        if line in heads:
+            # The lowest-numbered buffer holding the line at its head wins.
+            index = heads.index(line)
+            heads[index] = line + 1
+            stats.prefetches += 1
+            stats.useful_prefetches += 1
+            self._used[index] = self._tick
+            return 0
         counts.misses += 1
         # Allocate the LRU buffer to the new stream (Jouppi: buffers are
         # (re)allocated on misses that miss the buffers too).
         index = self._used.index(min(self._used))
-        self._queues[index] = deque(range(line + 1, line + 1 + self.depth))
-        self._next[index] = line + 1 + self.depth
+        heads[index] = line + 1
         self._used[index] = self._tick
-        self.stats.prefetches += self.depth
+        stats.prefetches += self.depth
         return None
 
     def purge(self) -> None:
-        for queue in self._queues:
-            queue.clear()
+        self._heads = [-1] * self.buffers
         self._used = [0] * self.buffers
         self._tick = 0
         self.stats.purges += 1
 
     def is_warm(self) -> bool:
-        return any(self._queues) or super().is_warm()
+        return any(head >= 0 for head in self._heads) or super().is_warm()
 
     def pending_lines(self) -> list[list[int]]:
         """Queued line numbers per buffer (testing/introspection)."""
-        return [list(queue) for queue in self._queues]
+        return [
+            list(range(head, head + self.depth)) if head >= 0 else []
+            for head in self._heads
+        ]
 
 
 class _L2EvictionObserver:

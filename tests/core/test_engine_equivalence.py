@@ -14,6 +14,7 @@ campaign worker counts: fan-out must never change a result.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,9 +27,11 @@ from repro.core import (
     SplitCache,
     UnifiedCache,
     can_replay,
+    kernels,
     policy_factory,
     simulate,
 )
+from repro.trace import AccessKind, Trace, TraceMetadata
 
 from .test_kernels import random_trace
 
@@ -43,16 +46,33 @@ _VC = MechanismConfig(victim_entries=4)
 _MC = MechanismConfig(miss_entries=4)
 _SB = MechanismConfig(stream_buffers=4, stream_depth=4)
 
-#: Miss-path organizations the kernel replays miss by miss (direct-mapped
-#: primaries).  ``l2-back-invalidating`` gives the L2 no more capacity
-#: than the primary, wider lines and one way, so its replacements evict
-#: resident primary lines all the time — the injected-miss rule's case.
+#: Miss-path organizations the kernel replays from the miss stream
+#: (direct-mapped primaries): one component at a time without an L2, miss
+#: by miss with one.  ``vc+mc`` probes the miss cache only on victim-cache
+#: misses but fills it on every miss.  ``l2-back-invalidating`` gives the
+#: L2 no more capacity than the primary, wider lines and one way, so its
+#: replacements evict resident primary lines all the time — the
+#: injected-miss rule's case.
 MISS_PATH = {
     "vc": _with(_VC),
     "mc": _with(_MC),
     "sb": _with(_SB),
     "vc+sb": _with(MechanismConfig(victim_entries=4, stream_buffers=4)),
     "mc+sb": _with(MechanismConfig(miss_entries=4, stream_buffers=4)),
+    "vc+mc": _with(MechanismConfig(victim_entries=4, miss_entries=4)),
+    "vc+mc+sb": _with(
+        MechanismConfig(victim_entries=2, miss_entries=4, stream_buffers=2)
+    ),
+    "split-vc+sb": lambda: SplitCache(
+        CacheGeometry(256, 16, 1),
+        _DM,
+        miss_path=MechanismConfig(victim_entries=4, stream_buffers=2).build(16),
+    ),
+    "write-through-mc+sb": _with(
+        MechanismConfig(miss_entries=4, stream_buffers=4),
+        write_policy=WRITE_THROUGH_ALLOCATE,
+    ),
+    "fifo-sb": _with(_SB, replacement=policy_factory("fifo")),
     "l2": _with(MechanismConfig(l2_size=4096, l2_line_size=32, l2_associativity=4)),
     "fifo-vc+l2": _with(
         MechanismConfig(victim_entries=2, l2_size=2048, l2_line_size=32),
@@ -189,7 +209,7 @@ class TestScheduleEquivalence:
 
 
 class TestMissPathEquivalence:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         variant=st.sampled_from(sorted(MISS_PATH)),
@@ -201,6 +221,23 @@ class TestMissPathEquivalence:
         # Sizes up to 80 bytes straddle several 16-byte lines per access.
         trace = random_trace(seed, length=800, max_size=max_size)
         schedule = dict(purge_interval=purge, warmup=warmup)
+        _, generic, generic_state = _run(MISS_PATH[variant], trace, "generic", schedule)
+        _, kernel, kernel_state = _run(MISS_PATH[variant], trace, "kernel", schedule)
+        assert kernel == generic
+        assert kernel_state == generic_state
+
+    @pytest.mark.parametrize("variant", MISS_PATH)
+    def test_reset_then_purge_with_no_miss_between(self, variant):
+        # Scattered references fill the mechanisms; from reference 90 on,
+        # a four-line loop hits, so no miss lies between the warmup reset
+        # at 95 and the purge at 100.  The reset must still come first.
+        rng = np.random.default_rng(95)
+        kinds = np.full(600, int(AccessKind.READ))
+        addresses = np.where(
+            np.arange(600) < 90, rng.integers(0, 4096, size=600), np.arange(600) % 4 * 16
+        )
+        trace = Trace(kinds, addresses, np.full(600, 4), TraceMetadata(name="loop"))
+        schedule = dict(warmup=95, purge_interval=100)
         _, generic, generic_state = _run(MISS_PATH[variant], trace, "generic", schedule)
         _, kernel, kernel_state = _run(MISS_PATH[variant], trace, "kernel", schedule)
         assert kernel == generic
@@ -230,6 +267,43 @@ class TestMissPathEquivalence:
         organization = MISS_PATH["vc"]()
         simulate(random_trace(seed="warm", length=100), organization)
         assert not can_replay(organization)
+
+
+def _has_l2(variant: str) -> bool:
+    return any(c.name == "l2" for c in MISS_PATH[variant]().miss_path.components)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("entered the per-miss loop")
+
+
+class TestMissStreamRoute:
+    """Which miss-stream replay a mechanism organization takes."""
+
+    @pytest.mark.parametrize("variant", [v for v in MISS_PATH if not _has_l2(v)])
+    def test_chains_without_an_l2_skip_the_per_miss_loop(self, monkeypatch, variant):
+        monkeypatch.setattr(kernels, "_replay_miss_events", _refuse)
+        trace = random_trace(seed=f"route/{variant}")
+        simulate(trace, MISS_PATH[variant](), engine="kernel", purge_interval=150)
+
+    def test_no_chain_skips_the_per_miss_loop(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_replay_miss_events", _refuse)
+        trace = random_trace(seed="route/no-chain")
+        simulate(trace, UnifiedCache(_DM), engine="kernel", warmup=100)
+
+    @pytest.mark.parametrize("variant", [v for v in MISS_PATH if _has_l2(v)])
+    def test_chains_with_an_l2_take_the_per_miss_loop(self, monkeypatch, variant):
+        calls = []
+        loop = kernels._replay_miss_events
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_replay_miss_events", record)
+        trace = random_trace(seed=f"route/{variant}")
+        simulate(trace, MISS_PATH[variant](), engine="kernel")
+        assert len(calls) == 1
 
 
 def _memo_kinds(trace) -> list[str]:

@@ -178,6 +178,36 @@ class TestStreamBuffers:
         sb.probe(int(_R), 200)  # reallocates buffer 0 (LRU)
         assert sb.pending_lines() == [[201, 202], [101, 102]]
 
+    def test_buffers_sharing_a_head_consume_the_lower_index_first(self):
+        sb = StreamBuffers(2, 2)
+        MissPathChain([sb]).attach((), 16)
+        sb.probe(int(_R), 0)  # buffer 0: [1, 2]
+        sb.probe(int(_R), 0)  # a miss again: buffer 1 (LRU) gets [1, 2] too
+        assert sb.pending_lines() == [[1, 2], [1, 2]]
+        assert sb.probe(int(_R), 1) == 0
+        assert sb.pending_lines() == [[2, 3], [1, 2]]
+        assert sb.probe(int(_R), 1) == 0
+        assert sb.pending_lines() == [[2, 3], [2, 3]]
+        assert sb.probe(int(_R), 2) == 0
+        assert sb.pending_lines() == [[3, 4], [2, 3]]
+        assert sb.stats.prefetches == 7  # 2 allocations of 2, 3 top-ups
+        assert sb.stats.useful_prefetches == 3
+
+    def test_allocation_after_a_purge_starts_at_buffer_zero(self):
+        sb = StreamBuffers(2, 2)
+        MissPathChain([sb]).attach((), 16)
+        sb.probe(int(_R), 0)  # buffer 0
+        sb.probe(int(_R), 100)  # buffer 1
+        sb.purge()
+        sb.probe(int(_R), 200)
+        assert sb.pending_lines() == [[201, 202], []]
+        sb.probe(int(_R), 300)
+        assert sb.pending_lines() == [[201, 202], [301, 302]]
+        assert sb.probe(int(_R), 201) == 0
+        assert sb.pending_lines() == [[202, 203], [301, 302]]
+        assert sb.stats.prefetches == 9  # 4 allocations of 2, 1 top-up
+        assert sb.stats.useful_prefetches == 1
+
     def test_purge_drops_contents_without_pushes(self):
         sb = StreamBuffers(1, 4)
         MissPathChain([sb]).attach((), 16)

@@ -102,6 +102,13 @@ def hang_worker_for_marked(cell):
     return run_cell(cell)
 
 
+def sleep_for_marked(cell):
+    """Sleep 2 s for marked cells wherever they run, then finish."""
+    if _marked(cell):
+        time.sleep(2)
+    return run_cell(cell)
+
+
 # ------------------------------ the suite ------------------------------
 
 class TestFailureIsolation:
@@ -255,10 +262,55 @@ class TestPoolFaults:
         assert failed.label == "FAIL-hang"
         assert failed.error.type == "TimeoutError"
         assert "REPRO_CELL_TIMEOUT" in failed.error.message
-        # Every other cell still produced its value (pool or serial fallback).
+        # Every other cell still produced its value on the pool (a bounded
+        # campaign has no in-process fallback).
         assert all(o.ok for o in result.outcomes if o.label != "FAIL-hang")
         kinds = [json.loads(line)["event"] for line in events.read_text().splitlines()]
         assert "pool_terminated" in kinds
+
+
+class TestSerialTimeouts:
+    """A campaign with a timeout, serial ones included, runs its cells
+    where they can be stopped."""
+
+    def test_serial_cell_obeys_the_timeout(self):
+        cells = make_cells(["ok-a", "FAIL-slow", "ok-b"])
+        result = run_campaign(
+            cells, workers=1, cache=False, runner=sleep_for_marked,
+            timeout=0.3, retries=0,
+        )
+        assert result.failed_cells == 1
+        failed = result.failures()[0]
+        assert failed.label == "FAIL-slow"
+        assert failed.error.type == "TimeoutError"
+        assert all(o.ok for o in result.outcomes if o.label != "FAIL-slow")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_bounded_campaign_never_runs_a_cell_in_process(self, tmp_path, workers):
+        # Serial or not, a cell whose worker keeps dying fails rather than
+        # running once more in this process, beyond the timeout's reach.
+        events = tmp_path / "events.jsonl"
+        result = run_campaign(
+            make_cells(["ok-a", "FAIL-kill", "ok-b"]), workers=workers, cache=False,
+            runner=kill_worker_for_marked, timeout=30, retries=0, backoff=0,
+            events=events,
+        )
+        failed = result.failures()
+        assert [o.label for o in failed] == ["FAIL-kill"]
+        assert failed[0].error.type == "BackendCrash"
+        kinds = [json.loads(line)["event"] for line in events.read_text().splitlines()]
+        assert "serial_fallback" not in kinds
+
+    def test_without_a_timeout_a_serial_campaign_starts_no_pool(self, monkeypatch):
+        from repro.service import backends
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("started a pool")
+
+        monkeypatch.delenv("REPRO_CELL_TIMEOUT", raising=False)
+        monkeypatch.setattr(backends, "PoolBackend", refuse)
+        result = run_campaign(make_cells(["a", "b"]), workers=1, cache=False)
+        assert result.failed_cells == 0
 
 
 class TestEquivalence:
