@@ -22,7 +22,7 @@ import tempfile
 import threading
 import time
 
-from common import merge_json_result
+from common import merge_json_result, provenance
 
 from repro.core.jobs import CampaignCell, SimulateJob, TraceSpec
 from repro.service import (
@@ -130,6 +130,7 @@ def test_service_throughput_under_concurrent_clients():
         "workers": WORKERS,
         "cpu_count": os.cpu_count(),
         "phases": phases,
+        "provenance": provenance(),
     }
     merge_json_result("BENCH_service_throughput", payload)
 

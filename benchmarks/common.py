@@ -116,26 +116,35 @@ def merge_json_result(
 
 
 def provenance() -> dict:
-    """Where a bench result was measured: the source commit (None outside
-    a git checkout), the Python and numpy versions, the CPU count, the
+    """Where a bench result was measured: the source commit and whether
+    tracked files outside ``benchmarks/results/`` differ from it (both
+    None outside a git checkout), the Python and numpy versions, the CPU count, the
     bench length (:func:`bench_length`; None = paper lengths) and the
     campaign worker count this environment resolves to."""
     import numpy
 
     from repro.campaign import worker_count
 
+    here = Path(__file__).resolve().parent
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=here, capture_output=True, text=True, check=True
+        ).stdout
+
     try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
+        commit = git("rev-parse", "HEAD").strip()
+        # Tracked changes outside the results directory mean the numbers
+        # were not measured on ``commit`` as committed.
+        dirty = any(
+            not line[3:].startswith("benchmarks/results/")
+            for line in git("status", "--porcelain", "--untracked-files=no").splitlines()
+        )
     except (OSError, subprocess.CalledProcessError):
-        commit = None
+        commit = dirty = None
     return {
         "commit": commit,
+        "dirty": dirty,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
