@@ -13,7 +13,8 @@ import numpy as np
 
 from common import bench_length, run_once, save_result
 
-from repro.analysis import render_series, unified_lru_sweep
+from repro.analysis import render_series
+from repro.core import lru_miss_ratio_curve
 from repro.trace import Trace, TraceMetadata
 from repro.workloads import catalog
 
@@ -39,12 +40,8 @@ def test_ablation_locality_model(benchmark):
         for name in ("VCCOM", "FGO1", "ZGREP"):
             structured = catalog.generate(name, length)
             random_like = _random_equivalent(structured)
-            rows[f"{name} (model)"] = list(
-                unified_lru_sweep(structured, SIZES).miss_ratios
-            )
-            rows[f"{name} (random)"] = list(
-                unified_lru_sweep(random_like, SIZES).miss_ratios
-            )
+            rows[f"{name} (model)"] = lru_miss_ratio_curve(structured, list(SIZES)).tolist()
+            rows[f"{name} (random)"] = lru_miss_ratio_curve(random_like, list(SIZES)).tolist()
         return rows
 
     rows = run_once(benchmark, experiment)

@@ -11,7 +11,8 @@ import numpy as np
 
 from common import bench_length, run_once, save_result
 
-from repro.analysis import render_series, unified_lru_sweep
+from repro.analysis import render_series
+from repro.core import lru_miss_ratio_curve
 from repro.workloads import catalog
 
 QUANTA = (5_000, 10_000, 20_000, 40_000, None)
@@ -24,8 +25,9 @@ def test_ablation_purge_interval(benchmark):
         rows = {}
         for quantum in QUANTA:
             label = f"quantum={quantum or 'none'}"
-            curve = unified_lru_sweep(trace, SIZES, purge_interval=quantum)
-            rows[label] = list(curve.miss_ratios)
+            rows[label] = lru_miss_ratio_curve(
+                trace, list(SIZES), purge_interval=quantum
+            ).tolist()
         return rows
 
     rows = run_once(benchmark, experiment)

@@ -13,16 +13,16 @@ from repro.analysis import (
     PAPER_CACHE_SIZES,
     figure2_series,
     render_series,
-    unified_lru_sweep,
 )
+from repro.core import lru_miss_ratio_curve
 from repro.workloads import catalog
 
 
 def _make():
     sizes = list(PAPER_CACHE_SIZES)
     series = figure2_series(sizes)
-    mvs = unified_lru_sweep(catalog.generate("MVS2", bench_length()), sizes)
-    series["MVS2 (ours, 16B lines)"] = list(mvs.miss_ratios)
+    mvs = catalog.generate("MVS2", bench_length())
+    series["MVS2 (ours, 16B lines)"] = lru_miss_ratio_curve(mvs, sizes).tolist()
     return sizes, series
 
 

@@ -15,14 +15,7 @@ One module per table/figure family — see DESIGN.md's experiment index:
   the paper: victim/miss caches, stream buffers, two-level hierarchy).
 """
 
-from .sweep import (
-    PAPER_CACHE_SIZES,
-    PAPER_LINE_SIZE,
-    MissRatioCurve,
-    simulation_sweep,
-    split_lru_sweep,
-    unified_lru_sweep,
-)
+from .sweep import PAPER_CACHE_SIZES, PAPER_LINE_SIZE, MissRatioCurve
 from .missratio import (
     PAPER_GROUP_AVERAGES_1K,
     PAPER_LISP_AVERAGES,
@@ -80,9 +73,6 @@ __all__ = [
     "PAPER_CACHE_SIZES",
     "PAPER_LINE_SIZE",
     "MissRatioCurve",
-    "simulation_sweep",
-    "split_lru_sweep",
-    "unified_lru_sweep",
     "PAPER_GROUP_AVERAGES_1K",
     "PAPER_LISP_AVERAGES",
     "Table1Result",

@@ -1,15 +1,16 @@
 """Cache-size sweep harness.
 
-Provides the paper's standard size grid, the resolver from a workload
-label to its campaign cells' trace spec (:func:`workload_spec`, run by
-:func:`workload_campaign`), and two sweep styles over a trace in hand:
-one-pass stack-distance sweeps for LRU demand fetch, and direct
-simulation sweeps for what the stack algorithm cannot express.
+Provides the paper's standard size grid and line size, the miss-ratio
+curve record, the kinds a split organization routes to each side, and
+the resolver from a workload label to its campaign cells' trace spec
+(:func:`workload_spec`, run by :func:`workload_campaign`).  A sweep over
+a trace in hand is :func:`repro.core.lru_miss_ratio_curve`; every
+experiment's sweeps run as campaign cells.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,7 @@ import numpy as np
 from ..campaign import run_campaign
 from ..core.jobs import CampaignCell, TraceSpec
 from ..core.multiprog import DEFAULT_QUANTUM
-from ..core.organization import CacheOrganization
-from ..core.simulator import SimulationReport, simulate
-from ..core.stackdist import lru_miss_ratio_curve
 from ..trace.record import AccessKind
-from ..trace.stream import Trace
 from ..workloads import catalog
 
 __all__ = [
@@ -30,9 +27,6 @@ __all__ = [
     "MissRatioCurve",
     "workload_spec",
     "workload_campaign",
-    "unified_lru_sweep",
-    "split_lru_sweep",
-    "simulation_sweep",
 ]
 
 #: The twelve cache sizes of the paper's tables (32 bytes to 64 Kbytes).
@@ -110,80 +104,3 @@ def workload_campaign(
         outcome.value for outcome in run_campaign(cells, raise_on_error=True).outcomes
     )
     return [[next(values) for _ in jobs] for _ in labels]
-
-
-def unified_lru_sweep(
-    trace: Trace,
-    sizes: Sequence[int] = PAPER_CACHE_SIZES,
-    line_size: int = PAPER_LINE_SIZE,
-    purge_interval: int | None = None,
-) -> MissRatioCurve:
-    """Table 1 sweep: fully associative LRU unified cache, demand fetch.
-
-    Uses the one-pass stack algorithm; with ``purge_interval`` the stack is
-    reset on the paper's task-switch schedule.
-    """
-    curve = lru_miss_ratio_curve(
-        trace, list(sizes), line_size=line_size, purge_interval=purge_interval
-    )
-    return MissRatioCurve(trace.metadata.name, tuple(sizes), tuple(float(v) for v in curve))
-
-
-def split_lru_sweep(
-    trace: Trace,
-    sizes: Sequence[int] = PAPER_CACHE_SIZES,
-    line_size: int = PAPER_LINE_SIZE,
-    purge_interval: int | None = None,
-) -> tuple[MissRatioCurve, MissRatioCurve]:
-    """Figures 3/4 sweep: split I/D caches, LRU, demand fetch.
-
-    Each side is swept independently (they share no state under a split
-    organization), with the purge clock counted in *total* trace references
-    exactly as in the paper's simulations.
-
-    Returns:
-        ``(instruction_curve, data_curve)``.
-    """
-    instruction = lru_miss_ratio_curve(
-        trace,
-        list(sizes),
-        line_size=line_size,
-        kinds=list(INSTRUCTION_KINDS),
-        purge_interval=purge_interval,
-    )
-    data = lru_miss_ratio_curve(
-        trace,
-        list(sizes),
-        line_size=line_size,
-        kinds=list(DATA_KINDS),
-        purge_interval=purge_interval,
-    )
-    name = trace.metadata.name
-    return (
-        MissRatioCurve(f"{name}:I", tuple(sizes), tuple(float(v) for v in instruction)),
-        MissRatioCurve(f"{name}:D", tuple(sizes), tuple(float(v) for v in data)),
-    )
-
-
-def simulation_sweep(
-    trace: Trace,
-    make_organization: Callable[[int], CacheOrganization],
-    sizes: Sequence[int] = PAPER_CACHE_SIZES,
-    purge_interval: int | None = None,
-) -> list[SimulationReport]:
-    """Direct-simulation sweep for non-LRU-demand configurations.
-
-    Args:
-        trace: the reference stream.
-        make_organization: called with each cache size (bytes) to build a
-            fresh organization.
-        sizes: capacities to sweep.
-        purge_interval: task-switch quantum.
-
-    Returns:
-        One :class:`SimulationReport` per size, in order.
-    """
-    return [
-        simulate(trace, make_organization(size), purge_interval=purge_interval)
-        for size in sizes
-    ]

@@ -27,7 +27,8 @@ instead of brute-force per-reference dispatch:
   chain.  Without an L2 the chain cannot change what a primary holds,
   so the components replay the misses one at a time — a miss cache in
   stack-distance passes over the miss-line stream, a victim cache or
-  stream buffers through their own hooks — and the primaries'
+  stream buffers in one lean loop that only records outcomes, with
+  their statistics tallied in arrays after it — and the primaries'
   accounting is whole-array passes.  A lone LRU copy-back L2 is the
   vectorized LRU replay over the primaries' miss stream, unless one of
   its replacements would back-invalidate a resident primary line; that
@@ -56,6 +57,7 @@ random victim draws.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 from collections.abc import Sequence
@@ -193,8 +195,9 @@ def lru_demand_replay(
     ==============  ===========================  ===========================
     LRU/FIFO,       cold, allocate-on-write,     miss-stream replay: array
     every member    no miss path, or victim/     passes for the primaries
-    1-way           miss caches and stream       and a miss cache, one hook
-                    buffers only                 pass per other component
+    1-way           miss caches and stream       and a miss cache, one lean
+                    buffers only                 loop per victim cache or
+                                                 stream buffers
     LRU/FIFO,       cold, allocate-on-write,     miss-stream replay: array
     every member    a lone cold LRU copy-back    passes for the primaries,
     1-way           L2 that back-invalidates     vectorized LRU replay of
@@ -796,55 +799,170 @@ def _kind_tallies(
 _PASS_COMPONENTS = (VictimCache, MissCache, StreamBuffers)
 
 
-def _overrides(component: MissPathComponent, hook: str):
-    """``component``'s bound ``hook``, or None if its class inherits the
-    base no-op."""
-    if getattr(type(component), hook) is getattr(MissPathComponent, hook):
-        return None
-    return getattr(component, hook)
+def _replay_victim_cache(
+    component: VictimCache,
+    m_kind: np.ndarray,
+    m_line: np.ndarray,
+    m_victim: np.ndarray,
+    m_standard: np.ndarray,
+    extra: np.ndarray,
+    probed: np.ndarray,
+    stops: np.ndarray,
+    counted_purge: np.ndarray,
+    measured: np.ndarray,
+    reset: bool,
+) -> np.ndarray:
+    """Replay a victim cache over every primary miss; returns the misses
+    it serviced.
 
-
-def _replay_component(
-    component: MissPathComponent,
-    events: list[tuple[int, int, int]],
-    m_kind: list[int],
-    m_line: list[int],
-    m_victim: list[int],
-    m_standard: list[int],
-    serviced: list[bool],
-    extra: list[int],
-    offered: list[bool],
-) -> None:
-    """Drive a victim cache or stream buffers through every primary miss,
-    in trace order.
-
-    Miss ``j`` probes the component only if no earlier component serviced
-    it (``serviced[j]``); ``on_evict`` sees the victim only while
-    ``offered[j]``, i.e. no earlier component captured it.  The victim's
-    flags are its residency's ``m_standard`` flags OR the extra bits its
-    fill received.  Neither class reacts to ``on_fill``.  ``events`` are
-    ``(stop, position, tag)`` triples in order: the purge or warmup reset
-    fires after the first ``stop`` misses.
+    Miss ``j`` first probes the cache if ``probed[j]``: a hit takes the
+    line out and hands its flags to the refill (written to ``extra[j]``).  Then the
+    cache captures the primary's victim, the line miss ``m_victim[j]``
+    filled (-1: none, or an earlier component took it), with flags
+    ``m_standard[j]`` OR the extra bits that fill received; a line already
+    held is refreshed in place, otherwise a full cache pops its least
+    recent line.  ``stops`` are the purges as miss counts.  The loop only
+    records hits, pops and the contents at each purge; the statistics are
+    array tallies over them, with pops at unmeasured misses and uncounted
+    purges left out.
     """
-    probe = component.probe
-    on_evict = _overrides(component, "on_evict")
+    entries = component.entries
+    lines = component._lines
+    pop = lines.pop
+    popitem = lines.popitem
+    probe = probed.tolist()
+    line_of = m_line.tolist()
+    victim_of = m_victim.tolist()
+    standard = m_standard.tolist()
+    flags_of = extra.tolist()
+    hits: list[int] = []
+    hit_flags: list[int] = []
+    popped_at: list[int] = []
+    popped: list[int] = []
+    purged: list[list[int]] = []
+    bounds = stops.tolist()
     start = 0
-    for stop, _, tag in events:
+    for k, stop in enumerate([*bounds, len(line_of)]):
         for j in range(start, stop):
-            if not serviced[j]:
-                result = probe(m_kind[j], m_line[j])
-                if result is not None:
-                    serviced[j] = True
-                    extra[j] = result
-            if on_evict is not None and offered[j]:
-                fill = m_victim[j]
-                if on_evict(m_line[fill], m_standard[j] | extra[fill]):
-                    offered[j] = False
+            if probe[j]:
+                flags = pop(line_of[j], None)
+                if flags is not None:
+                    flags_of[j] = flags
+                    hits.append(j)
+                    hit_flags.append(flags)
+            fill = victim_of[j]
+            if fill >= 0:
+                line = line_of[fill]
+                if line in lines:
+                    del lines[line]
+                elif len(lines) >= entries:
+                    popped_at.append(j)
+                    popped.append(popitem(last=False)[1])
+                lines[line] = standard[j] | flags_of[fill]
         start = stop
-        if tag == _PURGE:
-            component.purge()
-        elif tag == _RESET:
-            component.reset_statistics()
+        if k < len(bounds):
+            purged.append(list(lines.values()))
+            lines.clear()
+
+    hit = np.zeros(len(line_of), dtype=bool)
+    hit[hits] = True
+    extra[hits] = hit_flags
+    counted_probe = probed & measured
+    # Pops come in miss order, and the measured misses are a suffix.
+    skip = bisect.bisect_left(popped_at, len(measured) - int(np.count_nonzero(measured)))
+    pushed = popped[skip:]
+    replaced = len(pushed)
+    for k in np.flatnonzero(counted_purge).tolist():
+        pushed += purged[k]
+    if reset:
+        component.reset_statistics()
+    _credit(
+        component,
+        np.bincount(m_kind[counted_probe], minlength=4),
+        np.bincount(m_kind[counted_probe & ~hit], minlength=4),
+        0, replaced, len(pushed) - replaced, pushed,
+        int(np.count_nonzero(counted_purge)),
+    )
+    return hit
+
+
+def _replay_stream_buffers(
+    component: StreamBuffers,
+    m_kind: np.ndarray,
+    m_line: np.ndarray,
+    probed: np.ndarray,
+    stops: np.ndarray,
+    counted_purge: np.ndarray,
+    measured: np.ndarray,
+    reset: bool,
+) -> np.ndarray:
+    """Replay stream buffers over the misses in ``probed``; returns the
+    misses they serviced.
+
+    The buffers' LRU order is a list, least recent first: a probe that
+    finds its line at a head (the lowest-numbered such buffer) advances
+    that head and moves the buffer last; any other probe reallocates the
+    first buffer to the line's successors.  The order starts sorted by
+    ``(_used, index)``, which is ``StreamBuffers.probe``'s pick — the
+    lowest index among the least recently used — for any state its probes
+    leave (every ``_used`` entry below ``_tick``).  A purge empties every
+    buffer and restarts the clock.  The loop only records hits and the
+    probe that last touched each buffer; ``_used`` and ``_tick`` are
+    rebuilt from them.
+    """
+    count = component.buffers
+    heads = list(component._heads)
+    initial_used = component._used
+    order = sorted(range(count), key=lambda i: (initial_used[i], i))
+    last = [-1] * count
+    probes = np.flatnonzero(probed)
+    p_line = m_line[probes].tolist()
+    cuts = np.searchsorted(probes, stops).tolist()
+    hits: list[int] = []
+    start = 0
+    for k, stop in enumerate([*cuts, len(p_line)]):
+        for p in range(start, stop):
+            line = p_line[p]
+            if line in heads:
+                i = heads.index(line)
+                order.remove(i)
+                hits.append(p)
+            else:
+                i = order.pop(0)
+            heads[i] = line + 1
+            order.append(i)
+            last[i] = p
+        start = stop
+        if k < len(cuts):
+            heads = [-1] * count
+            order = list(range(count))
+            last = [-1] * count
+
+    # The clock counts the probes since the last purge, or since the
+    # start on top of the warm ``_tick``.
+    epoch = cuts[-1] if cuts else 0
+    base = 0 if cuts else component._tick
+    component._heads = heads
+    component._used = [
+        base + p - epoch + 1 if p >= 0 else (0 if cuts else initial_used[i])
+        for i, p in enumerate(last)
+    ]
+    component._tick = base + len(p_line) - epoch
+
+    hit = np.zeros(len(m_line), dtype=bool)
+    hit[probes[hits]] = True
+    counted_probe = probed & measured
+    misses = np.bincount(m_kind[counted_probe & ~hit], minlength=4)
+    useful = int(np.count_nonzero(hit & measured))
+    if reset:
+        component.reset_statistics()
+    _credit(
+        component, np.bincount(m_kind[counted_probe], minlength=4), misses,
+        0, 0, 0, (), int(np.count_nonzero(counted_purge)),
+    )
+    component.stats.prefetches += useful + component.depth * int(misses.sum())
+    component.stats.useful_prefetches += useful
+    return hit
 
 
 def _replay_miss_cache(
@@ -924,13 +1042,14 @@ def _replay_miss_passes(
     Without an L2, the primaries' misses and victims are fixed by the
     trace, so the chain decides only which component serviced each miss,
     which captured each victim, and the extra flag bits a fill receives.
-    Each component replays its whole event stream in chain order, passing
-    those on to the components after it: a miss cache in array passes
-    (:func:`_replay_miss_cache`), a victim cache or stream buffers through
-    their own hooks (:func:`_replay_component`).  The primaries'
-    statistics and final contents then come from whole-array passes over
-    the stream.  Without a victim cache or stream buffers, no Python runs
-    per miss.
+    Each component replays every miss in chain order, passing those on to
+    the components after it: a miss cache in array passes
+    (:func:`_replay_miss_cache`), a victim cache or stream buffers in one
+    lean loop over plain containers that only records outcomes
+    (:func:`_replay_victim_cache`, :func:`_replay_stream_buffers`); their
+    statistics are array tallies.  The primaries' statistics and final
+    contents then come from whole-array passes over the stream.  Without
+    a victim cache or stream buffers, no Python runs per miss.
     """
     count = len(members)
     copy_back = members[0].write_policy.is_copy_back
@@ -946,42 +1065,28 @@ def _replay_miss_passes(
 
     extra = np.zeros(len(index), dtype=np.int64)
     offered = has_victim  # victims no component captured
-    looped = [c for c in components if type(c) is not MissCache]
-    if looped:
-        # A purge at a miss's position precedes it, and so does a reset;
-        # between two misses, purges and the reset keep their trace order,
-        # and a purge at the reset's position precedes the reset.
-        events = [
-            (stop, at, _PURGE)
-            for stop, at in zip(np.searchsorted(index, purge_at).tolist(), purge_at.tolist())
-        ]
-        if warmup:
-            events.append((int(np.searchsorted(index, reset_at)), reset_at, _RESET))
-        events.sort()
-        events.append((len(index), len(positions), -1))
-        extra_list = extra.tolist()
-        offered_list = offered.tolist()
-        m_kind = kinds[index].tolist()
-        m_line = lines[index].tolist()
-        m_victim = victim.tolist()
-        m_standard = standard.tolist()
     serviced = np.zeros(len(index), dtype=bool)
+    # A purge at a miss's position precedes that miss.
+    stops = np.searchsorted(index, purge_at)
+    m_kind = kinds[index]
+    m_line = lines[index]
+    reset = bool(warmup)
     for component in components:
         if type(component) is MissCache:
-            serviced |= _replay_miss_cache(
-                component, kinds[index], lines[index], ~serviced,
-                np.searchsorted(index, purge_at), counted_purge, measured, bool(warmup),
+            hit = _replay_miss_cache(
+                component, m_kind, m_line, ~serviced, stops, counted_purge, measured, reset
             )
-            continue
-        serviced_list = serviced.tolist()
-        _replay_component(
-            component, events, m_kind, m_line, m_victim, m_standard,
-            serviced_list, extra_list, offered_list,
-        )
-        serviced = np.array(serviced_list, dtype=bool)
-    if looped:
-        extra = np.array(extra_list, dtype=np.int64)
-        offered = np.array(offered_list, dtype=bool)
+        elif type(component) is StreamBuffers:
+            hit = _replay_stream_buffers(
+                component, m_kind, m_line, ~serviced, stops, counted_purge, measured, reset
+            )
+        else:
+            hit = _replay_victim_cache(
+                component, m_kind, m_line, np.where(offered, victim, -1), standard,
+                extra, ~serviced, stops, counted_purge, measured, reset,
+            )
+            offered = np.zeros_like(offered)  # it captures every victim offered
+        serviced |= hit
     evicted_flags = standard | np.where(has_victim, extra[victim], 0)
 
     # Every measured victim is a replacement push; the primary pushes the

@@ -3,15 +3,21 @@
 These pin down agreements that the experiment modules silently rely on:
 the stack-distance sweeps must route reference kinds exactly like the
 simulator's split organization (including monitor-style FETCH records),
-and the sweep helpers must agree with direct simulation on real catalog
-workloads, not just synthetic unit-test streams.
+and the stack-distance sweep must agree with direct simulation on real
+catalog workloads, not just synthetic unit-test streams.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis import split_lru_sweep, unified_lru_sweep
-from repro.core import CacheGeometry, SplitCache, UnifiedCache, simulate
+from repro.analysis.sweep import DATA_KINDS, INSTRUCTION_KINDS
+from repro.core import (
+    CacheGeometry,
+    SplitCache,
+    UnifiedCache,
+    lru_miss_ratio_curve,
+    simulate,
+)
 from repro.workloads import catalog
 
 SIZES = (512, 4096)
@@ -25,9 +31,11 @@ class TestMonitorTraceRouting:
         return catalog.generate("MATCH", 12_000)
 
     def test_split_sweep_matches_split_simulation(self, trace):
-        icurve, dcurve = split_lru_sweep(trace, SIZES, purge_interval=5_000)
-        for size, expected_i, expected_d in zip(SIZES, icurve.miss_ratios,
-                                                dcurve.miss_ratios):
+        icurve, dcurve = (
+            lru_miss_ratio_curve(trace, list(SIZES), kinds=list(kinds), purge_interval=5_000)
+            for kinds in (INSTRUCTION_KINDS, DATA_KINDS)
+        )
+        for size, expected_i, expected_d in zip(SIZES, icurve, dcurve):
             report = simulate(
                 trace, SplitCache(CacheGeometry(size, 16)), purge_interval=5_000
             )
@@ -36,8 +44,8 @@ class TestMonitorTraceRouting:
             assert report.data.miss_ratio == pytest.approx(expected_d, abs=1e-12)
 
     def test_unified_sweep_matches_unified_simulation(self, trace):
-        curve = unified_lru_sweep(trace, SIZES)
-        for size, expected in zip(SIZES, curve.miss_ratios):
+        curve = lru_miss_ratio_curve(trace, list(SIZES))
+        for size, expected in zip(SIZES, curve):
             report = simulate(trace, UnifiedCache(CacheGeometry(size, 16)))
             assert report.miss_ratio == pytest.approx(expected, abs=1e-12)
 
@@ -46,8 +54,8 @@ class TestCatalogWorkloadsAgree:
     @pytest.mark.parametrize("name", ["VCCOM", "TWOD", "MVS1"])
     def test_stack_sweep_equals_simulation(self, name):
         trace = catalog.generate(name, 15_000)
-        curve = unified_lru_sweep(trace, SIZES, purge_interval=6_000)
-        for size, expected in zip(SIZES, curve.miss_ratios):
+        curve = lru_miss_ratio_curve(trace, list(SIZES), purge_interval=6_000)
+        for size, expected in zip(SIZES, curve):
             report = simulate(
                 trace, UnifiedCache(CacheGeometry(size, 16)), purge_interval=6_000
             )

@@ -3,20 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    PAPER_CACHE_SIZES,
-    MissRatioCurve,
-    simulation_sweep,
-    split_lru_sweep,
-    unified_lru_sweep,
-)
-from repro.core import CacheGeometry, UnifiedCache
-from repro.workloads import catalog
-
-
-@pytest.fixture(scope="module")
-def trace():
-    return catalog.generate("ZPR", 20_000)
+from repro.analysis import PAPER_CACHE_SIZES, MissRatioCurve
 
 
 class TestPaperConstants:
@@ -39,26 +26,3 @@ class TestMissRatioCurve:
     def test_as_array(self):
         curve = MissRatioCurve("t", (32, 64), (0.5, 0.4))
         assert np.allclose(curve.as_array(), [0.5, 0.4])
-
-
-class TestSweeps:
-    def test_unified_monotone(self, trace):
-        curve = unified_lru_sweep(trace, sizes=[256, 1024, 4096, 16384])
-        values = curve.as_array()
-        assert (np.diff(values) <= 1e-12).all()
-        assert curve.name == "ZPR"
-
-    def test_split_names(self, trace):
-        icurve, dcurve = split_lru_sweep(trace, sizes=[512, 2048], purge_interval=5000)
-        assert icurve.name.endswith(":I")
-        assert dcurve.name.endswith(":D")
-        assert all(0 <= v <= 1 for v in icurve.miss_ratios + dcurve.miss_ratios)
-
-    def test_simulation_sweep_matches_stack_sweep(self, trace):
-        sizes = [512, 2048]
-        reports = simulation_sweep(
-            trace, lambda s: UnifiedCache(CacheGeometry(s, 16)), sizes=sizes
-        )
-        stack = unified_lru_sweep(trace, sizes=sizes)
-        for report, expected in zip(reports, stack.miss_ratios):
-            assert report.miss_ratio == pytest.approx(expected, abs=1e-12)

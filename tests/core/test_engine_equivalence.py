@@ -151,9 +151,12 @@ SCHEDULES = {
 def _component_state(component) -> dict:
     state = {}
     if hasattr(component, "resident_lines"):
-        state["resident"] = component.resident_lines()
+        # Lines in recency order with their flags (a victim cache's
+        # survive a swap back).
+        state["resident"] = list(component._lines.items())
     if hasattr(component, "pending_lines"):
         state["pending"] = component.pending_lines()
+        state["clock"] = (list(component._used), component._tick)
     if hasattr(component, "cache"):  # the L2's own array
         state["l2"] = [list(lines.items()) for lines in component.cache._sets]
     return state
@@ -333,6 +336,184 @@ class TestMissCachePass:
         assert hits.any() and expected.stats.purge_pushes > 0
 
 
+#: Purges and the warmup reset between misses, in firing order, as
+#: ``(stop, tag)``: the event fires before miss ``stop``.  With purges:
+#: three before miss 10, one the reset discounts and one it counts at
+#: miss 25, and two before the last dozen misses.
+_EVENTS = {
+    "purges": [
+        (10, "purge"), (10, "purge"), (10, "purge"), (25, "purge"), (25, "reset"),
+        (25, "purge"), (40, "purge"), (48, "purge"), (48, "purge"),
+    ],
+    "reset-only": [(25, "reset")],
+}
+
+
+def _schedule_arrays(events, n: int):
+    """``(stops, counted_purge, measured)`` for an :data:`_EVENTS` list."""
+    stops = np.array([stop for stop, tag in events if tag == "purge"], dtype=np.int64)
+    reset = [tag for _, tag in events].index("reset")
+    counted = np.array(
+        [i > reset for i, (_, tag) in enumerate(events) if tag == "purge"], dtype=bool
+    )
+    return stops, counted, np.arange(n) >= events[reset][0]
+
+
+def _drive(component, events, n: int, step) -> None:
+    """Run ``step(j)`` for every miss, firing ``events`` before the miss
+    at their stop."""
+    pending = list(events)
+    for j in range(n + 1):
+        while pending and pending[0][0] == j:
+            if pending.pop(0)[1] == "purge":
+                component.purge()
+            else:
+                component.reset_statistics()
+        if j < n:
+            step(j)
+
+
+class TestVictimCacheAndStreamBufferPasses:
+    """The victim cache's and stream buffers' lean loops against their
+    own hooks, miss by miss."""
+
+    @pytest.mark.parametrize("events", _EVENTS)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("entries", [1, 4])
+    def test_victim_cache(self, events, warm, entries):
+        from repro.core import FLAG_DATA, FLAG_DIRTY, FLAG_REFERENCED
+        from repro.core.misspath import VictimCache
+
+        # Seed 10 makes every case swap some line back dirty twice.
+        rng = np.random.default_rng(10)
+        n = 60
+        m_kind = rng.integers(0, 4, size=n)
+        m_line = rng.integers(0, 8, size=n)
+        probed = rng.random(n) < 0.8
+        # A primary of four direct-mapped sets: miss j evicts the line the
+        # set's previous miss filled, unless a purge emptied the set.
+        m_victim = np.full(n, -1)
+        stops, counted, measured = _schedule_arrays(_EVENTS[events], n)
+        for j in range(n):
+            begin = stops[stops <= j].max(initial=0)
+            same = np.flatnonzero(m_line[begin:j] % 4 == m_line[j] % 4)
+            if len(same):
+                m_victim[j] = begin + same[-1]
+        m_standard = np.where(
+            m_victim >= 0,
+            rng.choice([FLAG_REFERENCED, FLAG_REFERENCED | FLAG_DATA,
+                        FLAG_REFERENCED | FLAG_DATA | FLAG_DIRTY], size=n),
+            0,
+        )
+
+        def fresh():
+            cache = VictimCache(entries)
+            if warm:
+                for line in (1, 2, 3):
+                    cache.on_evict(line, FLAG_REFERENCED | FLAG_DATA | FLAG_DIRTY)
+            return cache
+
+        expected = fresh()
+        extra = np.zeros(n, dtype=np.int64)
+        hit = np.zeros(n, dtype=bool)
+
+        def step(j):
+            if probed[j]:
+                flags = expected.probe(int(m_kind[j]), int(m_line[j]))
+                if flags is not None:
+                    hit[j] = True
+                    extra[j] = flags
+            fill = m_victim[j]
+            if fill >= 0:
+                expected.on_evict(int(m_line[fill]), int(m_standard[j] | extra[fill]))
+
+        _drive(expected, _EVENTS[events], n, step)
+
+        replayed = fresh()
+        replayed_extra = np.zeros(n, dtype=np.int64)
+        hits = kernels._replay_victim_cache(
+            replayed, m_kind, m_line, m_victim, m_standard, replayed_extra,
+            probed, stops, counted, measured, True,
+        )
+        assert replayed.stats == expected.stats
+        assert list(replayed._lines.items()) == list(expected._lines.items())
+        assert hits.tolist() == hit.tolist()
+        assert replayed_extra.tolist() == extra.tolist()
+        assert expected.stats.replacement_pushes > 0 and len(expected._lines)
+        assert (expected.stats.purge_pushes > 0) == (events == "purges")
+        # Some line swaps back dirty twice: its dirty bit survived a round
+        # trip through the primary and the victim cache.
+        dirty_hits = m_line[hit & (extra & FLAG_DIRTY != 0)]
+        assert np.bincount(dirty_hits).max() >= 2
+
+    @pytest.mark.parametrize("events", _EVENTS)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("buffers", [1, 2, 4])
+    def test_stream_buffers(self, events, warm, buffers):
+        rng = np.random.default_rng(buffers)
+        n = 60
+        # Short sequential runs over a few lines: heads collide often.
+        steps = np.where(rng.random(n) < 0.6, 1, rng.integers(-6, 6, size=n))
+        m_line = np.abs(np.cumsum(steps)) % 24
+        # Two misses on line 5 leave two buffers headed at 6 (with more
+        # than one buffer); the miss on 6 then consumes the lower one.
+        m_line[12:15] = [5, 5, 6]
+        hit, shared = self._check_stream_buffers(
+            buffers, warm, rng.integers(0, 4, size=n), m_line, rng.random(n) < 0.9,
+            _EVENTS[events],
+        )
+        assert hit.any()
+        assert any(shared) == (buffers > 1)
+
+    def test_stream_buffers_left_alone_keep_their_clock(self):
+        # One sequential run hits the buffer headed at 7 throughout, so
+        # the other warm buffers keep the ``_used`` their probes left.
+        n = 60
+        hit, _ = self._check_stream_buffers(
+            4, True, np.zeros(n, dtype=np.int64), 7 + np.arange(n), np.ones(n, dtype=bool),
+            _EVENTS["reset-only"],
+        )
+        assert hit.all()
+
+    @staticmethod
+    def _check_stream_buffers(buffers, warm, m_kind, m_line, probed, events):
+        """Compare the loop with the hooks; returns the hooks' hits and, per
+        probe, whether two buffers shared a head."""
+        from repro.core.misspath import StreamBuffers
+
+        n = len(m_line)
+        stops, counted, measured = _schedule_arrays(events, n)
+
+        def fresh():
+            component = StreamBuffers(buffers, depth=3)
+            if warm:
+                for line in (30, 40, 6, 41):
+                    component.probe(0, line)
+            return component
+
+        expected = fresh()
+        hit = np.zeros(n, dtype=bool)
+        shared = []
+
+        def step(j):
+            if probed[j]:
+                heads = [h for h in expected._heads if h >= 0]
+                shared.append(len(set(heads)) < len(heads))
+                hit[j] = expected.probe(int(m_kind[j]), int(m_line[j])) is not None
+
+        _drive(expected, events, n, step)
+
+        replayed = fresh()
+        hits = kernels._replay_stream_buffers(
+            replayed, m_kind, m_line, probed, stops, counted, measured, True
+        )
+        assert replayed.stats == expected.stats
+        assert replayed._heads == expected._heads
+        assert (replayed._used, replayed._tick) == (expected._used, expected._tick)
+        assert hits.tolist() == hit.tolist()
+        return hit, shared
+
+
 def _has_l2(variant: str) -> bool:
     return any(c.name == "l2" for c in MISS_PATH[variant]().miss_path.components)
 
@@ -368,9 +549,19 @@ class TestMissStreamRoute:
 
     @pytest.mark.parametrize("variant", [v for v in MISS_PATH if not _has_l2(v)])
     def test_chains_without_an_l2_skip_the_per_miss_loop(self, monkeypatch, variant):
+        # Nor does any component run its own per-miss hooks.
+        from repro.core.misspath import MissCache, StreamBuffers, VictimCache
+
         monkeypatch.setattr(kernels, "_replay_miss_events", _refuse)
+        for cls, hook in [
+            (VictimCache, "probe"), (VictimCache, "on_evict"),
+            (MissCache, "probe"), (MissCache, "on_fill"), (StreamBuffers, "probe"),
+        ]:
+            monkeypatch.setattr(cls, hook, _refuse)
         trace = random_trace(seed=f"route/{variant}")
-        simulate(trace, MISS_PATH[variant](), engine="kernel", purge_interval=150)
+        simulate(
+            trace, MISS_PATH[variant](), engine="kernel", purge_interval=150, warmup=100
+        )
 
     def test_no_chain_skips_the_per_miss_loop(self, monkeypatch):
         monkeypatch.setattr(kernels, "_replay_miss_events", _refuse)
