@@ -816,15 +816,15 @@ def _replay_victim_cache(
     it serviced.
 
     Miss ``j`` first probes the cache if ``probed[j]``: a hit takes the
-    line out and hands its flags to the refill (written to ``extra[j]``).  Then the
-    cache captures the primary's victim, the line miss ``m_victim[j]``
-    filled (-1: none, or an earlier component took it), with flags
-    ``m_standard[j]`` OR the extra bits that fill received; a line already
-    held is refreshed in place, otherwise a full cache pops its least
-    recent line.  ``stops`` are the purges as miss counts.  The loop only
-    records hits, pops and the contents at each purge; the statistics are
-    array tallies over them, with pops at unmeasured misses and uncounted
-    purges left out.
+    line out and hands its flags to the refill (written to ``extra[j]``).
+    Then the cache captures the primary's victim, the line miss
+    ``m_victim[j]`` filled (-1: none, or an earlier component took it),
+    with flags ``m_standard[j]`` OR the extra bits that fill received; a
+    line already held is refreshed in place, otherwise a full cache pops
+    its least recent line.  ``stops`` are the purges as miss counts.  The
+    loop only records hits, pops and the contents at each purge; the
+    statistics are array tallies over them, with pops at unmeasured
+    misses and uncounted purges left out.
     """
     entries = component.entries
     lines = component._lines
