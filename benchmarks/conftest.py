@@ -3,11 +3,12 @@
 Every passing pytest session over the benches adds one row to ``runs``
 in ``results/BENCH_paper.json``: the wall time of each bench module
 that ran (the setup, call and teardown of its tests) and their total.
-A row is keyed by the source commit, the bench length, the result
-cache (``no-cache``; ``cold`` when the cache directory starts empty;
-else ``warm``) and the campaign worker count, so successive runs build
-a trajectory instead of replacing the file; a rerun under the same key
-replaces its row.
+A row is keyed by the source commit, the bench length
+(:func:`common.bench_length`; the core-throughput and service benches
+size their own inputs), the result cache (``no-cache``; ``cold`` when
+the cache directory starts empty; else ``warm``) and the campaign worker
+count, so successive runs build a trajectory instead of replacing the
+file; a rerun under the same key replaces its row.
 """
 
 from __future__ import annotations

@@ -1066,11 +1066,12 @@ def _replay_miss_passes(
     extra = np.zeros(len(index), dtype=np.int64)
     offered = has_victim  # victims no component captured
     serviced = np.zeros(len(index), dtype=bool)
-    # A purge at a miss's position precedes that miss.
-    stops = np.searchsorted(index, purge_at)
-    m_kind = kinds[index]
-    m_line = lines[index]
-    reset = bool(warmup)
+    if components:
+        # A purge at a miss's position precedes that miss.
+        stops = np.searchsorted(index, purge_at)
+        m_kind = kinds[index]
+        m_line = lines[index]
+        reset = bool(warmup)
     for component in components:
         if type(component) is MissCache:
             hit = _replay_miss_cache(
